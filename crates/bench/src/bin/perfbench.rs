@@ -4,8 +4,13 @@
 //!
 //! * `BENCH_engine.json` — event-queue hold-model throughput (calendar
 //!   `EventQueue` vs the `HeapEventQueue` binary-heap oracle, pops/sec)
-//!   and the in-flight packet arena's per-packet allocator round-trips
-//!   measured on a real testbed-star simulation;
+//!   in two regimes — 64 Ki resident events (dense days) and 8 resident
+//!   events one per ~12 µs (the 1 Gbps regime, where every pop steps a
+//!   day) — the in-flight packet arena's per-packet allocator
+//!   round-trips measured on a real testbed-star simulation, and the
+//!   dispatch comparison with the queue's self-counters. The headline
+//!   queue rows of the file being replaced are carried over under
+//!   `previous`, so every regeneration is a before/after row;
 //! * `BENCH_sweep.json` — wall clock for a fig5 + fig10 experiment
 //!   slice, serial vs parallel sweep runner, with the host parallelism
 //!   recorded so the speedup number can be judged honestly.
@@ -14,9 +19,10 @@
 //!
 //! * default — full measurement, **writes** both files;
 //! * `--smoke` — reduced iteration counts, **no writes**: re-measures
-//!   the machine-independent calendar-vs-binheap throughput ratio and
-//!   fails (exit 1) if it regressed more than 25 % against the
-//!   checked-in `BENCH_engine.json`. `cargo xtask ci` runs this stage.
+//!   the machine-independent calendar-vs-binheap throughput ratios
+//!   (dense and sparse) and fails (exit 1) if one regressed more than
+//!   25 % against the checked-in `BENCH_engine.json`. `cargo xtask ci`
+//!   runs this stage.
 //!
 //! Wall-clock timing is deliberately confined to `crates/bench` (and
 //! `xtask`): the `no-wallclock` lint rule keeps `Instant`/`SystemTime`
@@ -31,7 +37,7 @@ use tcn_experiments::{fig5, Scheme};
 use tcn_net::{
     single_switch, DispatchMode, LeafSpineConfig, NetworkSim, TaggingPolicy, TransportChoice,
 };
-use tcn_sim::{EventQueue, HeapEventQueue, Rate, Rng, Time};
+use tcn_sim::{EventQueue, HeapEventQueue, QueueStats, Rate, Rng, Time};
 use tcn_workloads::{gen_incast, gen_many_to_one, Workload};
 
 /// Repo root, derived from this crate's manifest dir (crates/bench).
@@ -60,23 +66,37 @@ fn shaped_delta(rng: &mut Rng) -> Time {
     }
 }
 
+/// Sparse hold-model delta: uniform up to 192 µs, so 8 resident events
+/// fire one per ~12 µs (a 1500 B serialization at 1 Gbps) — some eleven
+/// calendar days apart. Every pop steps a day and most days are empty:
+/// the regime of the 1 Gbps stars, which 64 Ki resident events never
+/// reach.
+fn sparse_delta(rng: &mut Rng) -> Time {
+    Time::from_ps(rng.gen_range(192_000_000))
+}
+
 /// Classic hold model: keep `resident` events queued; each step pops
-/// the earliest and schedules a replacement at `now + delta`. Returns
+/// the earliest and schedules a replacement at `now + delta()`. Returns
 /// pops per second of wall time.
 macro_rules! hold_model {
     ($name:ident, $queue:ty) => {
-        fn $name(resident: usize, pops: u64, seed: u64) -> f64 {
+        fn $name(
+            resident: usize,
+            pops: u64,
+            seed: u64,
+            delta: impl Fn(&mut Rng) -> Time,
+        ) -> f64 {
             let mut q: $queue = <$queue>::new();
             let mut rng = Rng::new(seed);
             for i in 0..resident as u64 {
-                let d = shaped_delta(&mut rng);
+                let d = delta(&mut rng);
                 q.schedule_at(Time::ZERO.saturating_add(d), i);
             }
             let t0 = Instant::now();
             for i in 0..pops {
                 let e = q.pop().expect("hold model never drains");
                 std::hint::black_box(e.event);
-                let d = shaped_delta(&mut rng);
+                let d = delta(&mut rng);
                 q.schedule_at(e.at.saturating_add(d), i);
             }
             let secs = t0.elapsed().as_secs_f64();
@@ -196,14 +216,15 @@ fn incast_sim(fanout: usize, waves: usize, flow_bytes: u64) -> NetworkSim {
 }
 
 /// Run the incast macro-benchmark once under the given dispatch
-/// configuration: `(wall ms, events processed, fct checksum, drops)`.
+/// configuration: `(wall ms, events processed, fct checksum, drops,
+/// event-queue self-counters)`.
 fn incast_run(
     fanout: usize,
     waves: usize,
     flow_bytes: u64,
     mode: DispatchMode,
     hybrid: bool,
-) -> (f64, u64, u64, u64) {
+) -> (f64, u64, u64, u64, QueueStats) {
     let mut sim = incast_sim(fanout, waves, flow_bytes);
     sim.set_dispatch_mode(mode);
     sim.set_hybrid(hybrid);
@@ -211,7 +232,18 @@ fn incast_run(
     assert!(sim.run_to_completion(Time::from_secs(60)).expect("run"));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let fct_sum: u64 = sim.fct_records().iter().map(|r| r.fct.as_ps()).sum();
-    (wall_ms, sim.events_processed(), fct_sum, sim.total_drops())
+    (wall_ms, sim.events_processed(), fct_sum, sim.total_drops(), sim.queue_stats())
+}
+
+fn queue_stats_json(s: QueueStats) -> Json {
+    Json::obj(vec![
+        ("advances", s.advances.to_json()),
+        ("bucket_allocs", s.bucket_allocs.to_json()),
+        ("pool_high_water", s.pool_high_water.to_json()),
+        ("overflow_pushes", s.overflow_pushes.to_json()),
+        ("overflow_migrated", s.overflow_migrated.to_json()),
+        ("active_high_water", s.active_high_water.to_json()),
+    ])
 }
 
 /// The dispatch-path comparison (DESIGN §7.5–7.7): per-event vs batched
@@ -228,9 +260,8 @@ fn dispatch_measurement(smoke: bool) -> Json {
     };
     // Best-of-3 walls per mode, interleaved, so a scheduler hiccup does
     // not skew a ratio; outputs are asserted invariant across rounds.
-    let mut pe = (f64::INFINITY, 0u64, 0u64, 0u64);
-    let mut ba = (f64::INFINITY, 0u64, 0u64, 0u64);
-    let mut hy = (f64::INFINITY, 0u64, 0u64, 0u64);
+    let unrun = (f64::INFINITY, 0u64, 0u64, 0u64, QueueStats::default());
+    let (mut pe, mut ba, mut hy) = (unrun, unrun, unrun);
     for _ in 0..3 {
         let r = incast_run(fanout, waves, bytes, DispatchMode::PerEvent, false);
         if r.0 < pe.0 {
@@ -286,6 +317,10 @@ fn dispatch_measurement(smoke: bool) -> Json {
             "hybrid_work_per_pop_vs_per_event",
             (common_events as f64 / hy.1 as f64).to_json(),
         ),
+        // The event queue's self-counters over the batched (default)
+        // run: deterministic, so a queue change that steps more days or
+        // starts allocating per step shows here at 0 % tolerance.
+        ("batched_queue_stats", queue_stats_json(ba.4)),
         (
             "note",
             "events/sec is per-event mode's event count over each mode's wall time \
@@ -303,11 +338,16 @@ fn engine_baseline(smoke: bool) -> Json {
     let pops: u64 = if smoke { 400_000 } else { 4_000_000 };
     // Interleave A/B/A/B and keep the better of two rounds each, so a
     // one-off scheduler hiccup doesn't skew the ratio.
+    let sparse_resident = 8;
     let mut cal: f64 = 0.0;
     let mut bin: f64 = 0.0;
-    for round in 0..2u64 {
-        cal = cal.max(hold_calendar(resident, pops, 11 + round));
-        bin = bin.max(hold_binheap(resident, pops, 11 + round));
+    let mut cal_sparse: f64 = 0.0;
+    let mut bin_sparse: f64 = 0.0;
+    for seed in [11, 12] {
+        cal = cal.max(hold_calendar(resident, pops, seed, shaped_delta));
+        bin = bin.max(hold_binheap(resident, pops, seed, shaped_delta));
+        cal_sparse = cal_sparse.max(hold_calendar(sparse_resident, pops, seed, sparse_delta));
+        bin_sparse = bin_sparse.max(hold_binheap(sparse_resident, pops, seed, sparse_delta));
     }
     let arena = arena_measurement(if smoke { 150 } else { 600 });
     let dispatch = dispatch_measurement(smoke);
@@ -317,6 +357,10 @@ fn engine_baseline(smoke: bool) -> Json {
         ("calendar_pops_per_sec", cal.round().to_json()),
         ("binheap_pops_per_sec", bin.round().to_json()),
         ("calendar_vs_binheap", (cal / bin).to_json()),
+        ("sparse_resident_events", (sparse_resident as u64).to_json()),
+        ("calendar_sparse_pops_per_sec", cal_sparse.round().to_json()),
+        ("binheap_sparse_pops_per_sec", bin_sparse.round().to_json()),
+        ("calendar_sparse_vs_binheap", (cal_sparse / bin_sparse).to_json()),
         ("arena", arena),
         ("dispatch", dispatch),
     ])
@@ -391,22 +435,23 @@ fn gate_ratio(name: &str, current: f64, base: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// Smoke gates: the calendar-vs-binheap pop throughput ratio, plus the
-/// dispatch-path ratios (batched speedup over per-event, hybrid speedup
-/// over batched) — all ratios of two walls on the same host, so they
-/// transfer across machines the way raw events/sec never could.
+/// Smoke gates: the calendar-vs-binheap pop throughput ratios (dense
+/// and sparse hold models), plus the dispatch-path ratios (batched
+/// speedup over per-event, hybrid speedup over batched) — all ratios of
+/// two walls on the same host, so they transfer across machines the way
+/// raw events/sec never could.
 fn smoke_gate(engine: &Json) -> Result<(), String> {
     let path = repo_root().join("BENCH_engine.json");
     let baseline = std::fs::read_to_string(&path)
         .map_err(|e| format!("missing baseline {}: {e} (run `cargo xtask bench` first)", path.display()))?;
     let json = Json::parse(&baseline).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let current = engine
-        .f64_field("calendar_vs_binheap")
-        .expect("engine object just built");
-    let base = json
-        .f64_field("calendar_vs_binheap")
-        .map_err(|e| format!("baseline lacks calendar_vs_binheap: {e}"))?;
-    gate_ratio("calendar/binheap throughput ratio", current, base)?;
+    for metric in ["calendar_vs_binheap", "calendar_sparse_vs_binheap"] {
+        let current = engine.f64_field(metric).expect("engine object just built");
+        let base = json
+            .f64_field(metric)
+            .map_err(|e| format!("baseline lacks {metric}: {e}"))?;
+        gate_ratio(metric, current, base)?;
+    }
 
     // A baseline written before the dispatch section existed gates only
     // the queue ratio; `cargo xtask bench` refreshes it.
@@ -433,9 +478,23 @@ fn smoke_gate(engine: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// The headline queue rows of the checked-in `BENCH_engine.json` about
+/// to be replaced (`null` where that file has no such row, or does not
+/// exist): the "before" of this regeneration's before/after.
+fn previous_queue_rows(path: &std::path::Path) -> Json {
+    let old = std::fs::read_to_string(path).ok().and_then(|s| Json::parse(&s).ok());
+    let row = |name| (name, old.as_ref().and_then(|j| j.get(name)).cloned().unwrap_or(Json::Null));
+    Json::obj(vec![
+        row("calendar_pops_per_sec"),
+        row("calendar_vs_binheap"),
+        row("calendar_sparse_pops_per_sec"),
+        row("calendar_sparse_vs_binheap"),
+    ])
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let engine = engine_baseline(smoke);
+    let mut engine = engine_baseline(smoke);
     println!("engine: {}", engine.pretty());
 
     if smoke {
@@ -450,8 +509,11 @@ fn main() {
     let sweep = sweep_baseline();
     println!("sweep: {}", sweep.pretty());
     let root = repo_root();
-    std::fs::write(root.join("BENCH_engine.json"), engine.pretty() + "\n")
-        .expect("write BENCH_engine.json");
+    let engine_path = root.join("BENCH_engine.json");
+    if let Json::Obj(fields) = &mut engine {
+        fields.push(("previous".to_string(), previous_queue_rows(&engine_path)));
+    }
+    std::fs::write(&engine_path, engine.pretty() + "\n").expect("write BENCH_engine.json");
     std::fs::write(root.join("BENCH_sweep.json"), sweep.pretty() + "\n")
         .expect("write BENCH_sweep.json");
     println!("wrote {}", root.join("BENCH_engine.json").display());

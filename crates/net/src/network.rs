@@ -29,7 +29,7 @@ use tcn_core::{
     AqmParams, ArenaStats, EcnCodepoint, FlowId, Packet, PacketArena, PacketHandle, PacketKind,
     TcnError,
 };
-use tcn_sim::{EventEntry, EventQueue, FaultPlan, LinkFaultProfile, Rate, Rng, Time};
+use tcn_sim::{EventEntry, EventQueue, FaultPlan, LinkFaultProfile, QueueStats, Rate, Rng, Time};
 use tcn_transport::{Cc, FluidCursor, SenderOutput, TcpConfig, TcpReceiver, TcpSender};
 
 use crate::port::{Port, PortSetup};
@@ -1370,6 +1370,12 @@ impl NetworkSim {
     /// (the benchmark's per-packet alloc count comes from here).
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
+    }
+
+    /// Self-counters of the event queue: day steps, bucket allocations,
+    /// overflow traffic and tier high-water marks.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.events.stats()
     }
 
     /// Whether `link` is administratively up.

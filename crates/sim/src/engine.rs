@@ -30,8 +30,9 @@
 //! * **ring** — `NUM_BUCKETS` unsorted buckets covering the next
 //!   `NUM_BUCKETS` days. Scheduling into the ring is an `O(1)` push; a
 //!   bucket is heapified wholesale (`O(k)`) only when its day becomes
-//!   current. A `BTreeSet` of non-empty days lets the queue jump over
-//!   empty days instead of scanning them.
+//!   current. A `NUM_BUCKETS`-bit occupancy bitmap (one bit per slot)
+//!   lets the queue jump over empty days: the next non-empty day is a
+//!   circular `trailing_zeros` scan of at most `NUM_BUCKETS / 64` words.
 //! * **overflow** — a binary heap for events beyond the ring's horizon
 //!   (far-future timers; rare). Whenever the current day advances, any
 //!   overflow events that fell inside the new window migrate into the
@@ -43,10 +44,33 @@
 //! `(time, seq)` order is exactly the one the plain heap produces. That
 //! equivalence is enforced by a 10⁶-operation randomized differential
 //! test against [`HeapEventQueue`] (`tests/engine_differential.rs`).
+//!
+//! # Stepping to the next day allocates nothing
+//!
+//! On 1 Gbps links a day holds less than one event, so the day step is
+//! paid per *event* and must touch neither a tree nor the allocator.
+//! Bucket storage is therefore recycled: a slot whose bit is clear holds
+//! a capacity-less `Vec`; when its bit goes 0→1 it takes a spare from a
+//! LIFO **pool** of emptied `Vec`s (a pool miss is the only allocating
+//! path, counted as [`QueueStats::bucket_allocs`]); when its day becomes
+//! current the bucket is heapified *in place* into `active`, and the
+//! drained heap's storage goes back to the pool.
+//!
+//! * Why a pool and not swapping the drained storage straight into the
+//!   vacated slot: a swap leaves capacity behind in every slot a day
+//!   ever used, so it spreads over all `NUM_BUCKETS` slots (+27 % peak
+//!   RSS on the 144-host fabric). The pool keeps only as many `Vec`s
+//!   alive as there are simultaneously non-empty days.
+//! * Why the advance stays *lazy* (on the pop that finds `active` empty,
+//!   not as soon as it drains): an eager advance moves `cur_day` to the
+//!   first scheduled event while earlier ones are still being added, so
+//!   they all pile into one big `active` heap — slower set-up, more RSS,
+//!   and slower dense batches. Laziness is what the `peek_time` memo is
+//!   for.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use tcn_telemetry::{Event as TelemetryEvent, Probe};
 
@@ -104,9 +128,64 @@ const NUM_BUCKETS: usize = 1024;
 /// event run emits thousands — not millions — of ticks.
 const DEFAULT_TICK_INTERVAL: u64 = 4096;
 
+/// Words in the ring's occupancy bitmap (one bit per bucket slot).
+const OCC_WORDS: usize = NUM_BUCKETS / 64;
+
 #[inline(always)]
 fn day_of(at: Time) -> u64 {
     at.as_ps() >> DAY_SHIFT
+}
+
+/// Earliest non-empty ring day after `cur_day`, from the occupancy
+/// bitmap alone. Ring days lie in `(cur_day, cur_day + NUM_BUCKETS)` and
+/// slot `day % NUM_BUCKETS` holds day `day`, so slots in circular order
+/// starting at `cur_day + 1`'s are days in increasing order: scan the
+/// start word from its start bit up, the other words in turn, and last
+/// the start word's low bits (the days that wrapped around the ring).
+fn first_ring_day(occupied: &[u64; OCC_WORDS], cur_day: u64) -> Option<u64> {
+    let start = ((cur_day + 1) % NUM_BUCKETS as u64) as usize;
+    let (w0, b0) = (start / 64, start % 64);
+    let at_or_above = !0u64 << b0;
+    let day_of_lowest = |word: usize, bits: u64| {
+        let slot = word * 64 + bits.trailing_zeros() as usize;
+        let ahead = (slot + NUM_BUCKETS - start) % NUM_BUCKETS;
+        cur_day + 1 + ahead as u64
+    };
+    let high = occupied[w0] & at_or_above;
+    if high != 0 {
+        return Some(day_of_lowest(w0, high));
+    }
+    for i in 1..OCC_WORDS {
+        let w = (w0 + i) % OCC_WORDS;
+        if occupied[w] != 0 {
+            return Some(day_of_lowest(w, occupied[w]));
+        }
+    }
+    let wrapped = occupied[w0] & !at_or_above;
+    (wrapped != 0).then(|| day_of_lowest(w0, wrapped))
+}
+
+/// Self-counters of an [`EventQueue`]: how often it stepped days, and
+/// what that cost the allocator and the slow tiers. Plain increments on
+/// paths that already write the queue; deterministic for a given
+/// schedule/pop sequence, so they are comparable across hosts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Day steps: refills of the active heap from the ring or overflow.
+    pub advances: u64,
+    /// Ring buckets that went non-empty with no pooled spare to take —
+    /// the only allocating path of the day step. Stops growing once the
+    /// pool has seen the run's peak of simultaneously non-empty days.
+    pub bucket_allocs: u64,
+    /// Most spare bucket `Vec`s the pool ever held.
+    pub pool_high_water: u64,
+    /// Events scheduled beyond the ring's horizon.
+    pub overflow_pushes: u64,
+    /// Overflow events pulled back into the ring (or the active day) as
+    /// the window advanced over them.
+    pub overflow_migrated: u64,
+    /// Most events the active (current-day) heap ever held.
+    pub active_high_water: u64,
 }
 
 /// A future-event list with a monotonic clock.
@@ -132,9 +211,12 @@ pub struct EventQueue<E> {
     active: BinaryHeap<EventEntry<E>>,
     /// The bucket ring: unsorted per-day buckets for days in
     /// `(cur_day, cur_day + NUM_BUCKETS)`, indexed by `day % NUM_BUCKETS`.
+    /// A slot whose occupancy bit is clear holds a capacity-less `Vec`.
     buckets: Vec<Vec<EventEntry<E>>>,
-    /// Non-empty ring days, for skipping empty days in `O(log)`.
-    days: BTreeSet<u64>,
+    /// Bit `s` set ⇔ `buckets[s]` is non-empty; see [`first_ring_day`].
+    occupied: [u64; OCC_WORDS],
+    /// Emptied bucket `Vec`s awaiting reuse, most recently drained last.
+    pool: Vec<Vec<EventEntry<E>>>,
     /// Events at or beyond `cur_day + NUM_BUCKETS`, heap-ordered.
     overflow: BinaryHeap<EventEntry<E>>,
     /// The day `active` serves.
@@ -168,6 +250,7 @@ pub struct EventQueue<E> {
     /// observable in unit tests to prove the drained-day path stops
     /// rescanning.
     bucket_scans: Cell<u64>,
+    stats: QueueStats,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -182,7 +265,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             active: BinaryHeap::new(),
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            days: BTreeSet::new(),
+            occupied: [0; OCC_WORDS],
+            pool: Vec::new(),
             overflow: BinaryHeap::new(),
             cur_day: 0,
             pending: 0,
@@ -195,6 +279,7 @@ impl<E> EventQueue<E> {
             peek_cache: Cell::new(None),
             peek_valid: Cell::new(true),
             bucket_scans: Cell::new(0),
+            stats: QueueStats::default(),
         }
     }
 
@@ -231,6 +316,13 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// The queue's self-counters since construction ([`clear`](Self::clear)
+    /// does not reset them).
+    #[inline]
+    pub fn stats(&self) -> QueueStats {
+        self.stats
     }
 
     /// Schedule `event` at the absolute instant `at`.
@@ -314,14 +406,41 @@ impl<E> EventQueue<E> {
         let day = day_of(entry.at);
         if day <= self.cur_day {
             self.active.push(entry);
+            self.note_active_len();
         } else if day < self.cur_day + NUM_BUCKETS as u64 {
-            let bucket = &mut self.buckets[(day % NUM_BUCKETS as u64) as usize];
-            if bucket.is_empty() {
-                self.days.insert(day);
+            let slot = (day % NUM_BUCKETS as u64) as usize;
+            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+            if self.occupied[word] & bit == 0 {
+                self.occupied[word] |= bit;
+                match self.pool.pop() {
+                    Some(spare) => self.buckets[slot] = spare,
+                    None => self.stats.bucket_allocs += 1,
+                }
             }
-            bucket.push(entry);
+            self.buckets[slot].push(entry);
         } else {
+            self.stats.overflow_pushes += 1;
             self.overflow.push(entry);
+        }
+    }
+
+    #[inline]
+    fn note_active_len(&mut self) {
+        let len = self.active.len() as u64;
+        if len > self.stats.active_high_water {
+            self.stats.active_high_water = len;
+        }
+    }
+
+    /// Hand an emptied bucket's storage to the pool.
+    fn recycle(&mut self, spare: Vec<EventEntry<E>>) {
+        debug_assert!(spare.is_empty());
+        if spare.capacity() > 0 {
+            self.pool.push(spare);
+            let held = self.pool.len() as u64;
+            if held > self.stats.pool_high_water {
+                self.stats.pool_high_water = held;
+            }
         }
     }
 
@@ -329,7 +448,7 @@ impl<E> EventQueue<E> {
     /// always precede overflow days — then overflow), migrating overflow
     /// events that the advanced window now covers.
     fn advance(&mut self) {
-        let ring_day = self.days.first().copied();
+        let ring_day = first_ring_day(&self.occupied, self.cur_day);
         let overflow_day = self.overflow.peek().map(|e| day_of(e.at));
         let next = match (ring_day, overflow_day) {
             (None, None) => return,
@@ -337,11 +456,17 @@ impl<E> EventQueue<E> {
             (Some(a), Some(b)) => a.min(b),
         };
         self.cur_day = next;
+        self.stats.advances += 1;
         if ring_day == Some(next) {
-            self.days.remove(&next);
-            let bucket = std::mem::take(&mut self.buckets[(next % NUM_BUCKETS as u64) as usize]);
+            let slot = (next % NUM_BUCKETS as u64) as usize;
+            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+            let bucket = std::mem::take(&mut self.buckets[slot]);
             debug_assert!(self.active.is_empty());
-            self.active = BinaryHeap::from(bucket);
+            // Heapify the bucket where it lies; the drained heap's
+            // storage is the next spare.
+            let drained = std::mem::replace(&mut self.active, BinaryHeap::from(bucket));
+            self.recycle(drained.into_vec());
+            self.note_active_len();
         }
         // Pull every overflow event the new window covers into the ring
         // (or straight into `active` for the current day), restoring the
@@ -355,6 +480,7 @@ impl<E> EventQueue<E> {
                 break;
             };
             self.pending -= 1; // `insert` re-counts it
+            self.stats.overflow_migrated += 1;
             self.insert(entry);
         }
     }
@@ -512,7 +638,7 @@ impl<E> EventQueue<E> {
         if let Some(e) = self.active.peek() {
             return Some(e.at);
         }
-        if let Some(&d) = self.days.first() {
+        if let Some(d) = first_ring_day(&self.occupied, self.cur_day) {
             self.bucket_scans.set(self.bucket_scans.get() + 1);
             return self.buckets[(d % NUM_BUCKETS as u64) as usize]
                 .iter()
@@ -545,8 +671,15 @@ impl<E> EventQueue<E> {
     /// series from the previous run as if they belonged to the new one.
     pub fn clear(&mut self) {
         self.active.clear();
-        for day in std::mem::take(&mut self.days) {
-            self.buckets[(day % NUM_BUCKETS as u64) as usize].clear();
+        for word in 0..OCC_WORDS {
+            let mut bits = std::mem::take(&mut self.occupied[word]);
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut bucket = std::mem::take(&mut self.buckets[slot]);
+                bucket.clear();
+                self.recycle(bucket);
+            }
         }
         self.overflow.clear();
         self.pending = 0;
@@ -995,6 +1128,109 @@ mod tests {
         // And a fresh schedule repopulates it.
         q.schedule_at(Time::from_ms(20), 3); // overflow tier
         assert_eq!(q.peek_time(), Some(Time::from_ms(20)));
+    }
+
+    #[test]
+    fn first_ring_day_scans_in_day_order() {
+        let one = |slot: usize| {
+            let mut occ = [0u64; OCC_WORDS];
+            occ[slot / 64] |= 1 << (slot % 64);
+            occ
+        };
+        // Empty ring.
+        assert_eq!(first_ring_day(&[0; OCC_WORDS], 0), None);
+        assert_eq!(first_ring_day(&[0; OCC_WORDS], 5_000), None);
+        // Bit 0 and bit 63 of a word, from a start in an earlier word.
+        assert_eq!(first_ring_day(&one(128), 70), Some(128));
+        assert_eq!(first_ring_day(&one(191), 70), Some(191));
+        // The start bit itself is tomorrow; the slot just behind it is
+        // the ring's last day.
+        assert_eq!(first_ring_day(&one(71), 70), Some(71));
+        assert_eq!(first_ring_day(&one(69), 70), Some(70 + 1023));
+        // Start at bit 0 and at bit 63 of a word.
+        assert_eq!(first_ring_day(&one(64), 63), Some(64));
+        assert_eq!(first_ring_day(&one(63), 62), Some(63));
+        assert_eq!(first_ring_day(&one(0), 62), Some(1024));
+        // The wrapped start word: with the start at slot 100, slot 90
+        // is ~1 000 days out and must lose to slot 110 (same word, 10
+        // days out) and to slot 700 (another word), but win when alone.
+        let mut occ = one(90);
+        assert_eq!(first_ring_day(&occ, 2_048 + 99), Some(2_048 + 1_024 + 90));
+        occ[700 / 64] |= 1 << (700 % 64);
+        assert_eq!(first_ring_day(&occ, 2_048 + 99), Some(2_048 + 700));
+        occ[110 / 64] |= 1 << (110 % 64);
+        assert_eq!(first_ring_day(&occ, 2_048 + 99), Some(2_048 + 110));
+        // Wrap across the end of the bitmap: start in the last word.
+        assert_eq!(first_ring_day(&one(3), 1_000), Some(1_024 + 3));
+    }
+
+    /// Sparse hold model: each popped event is replaced by one up to
+    /// ~183 days later, so nearly every pop steps a day.
+    fn sparse_hold(q: &mut EventQueue<u64>, rng: &mut crate::Rng, pops: u64) {
+        for i in 0..pops {
+            let e = q.pop().expect("hold model never drains");
+            let delta = Time::from_ps(rng.gen_range(192_000_000));
+            q.schedule_at(e.at.saturating_add(delta), i);
+        }
+    }
+
+    #[test]
+    fn day_steps_stop_allocating_after_warm_up() {
+        // `forbid(unsafe_code)` rules out a counting allocator, so the
+        // queue counts its own pool misses: once the pool has seen the
+        // peak of simultaneously non-empty days (at most one per
+        // resident event, plus the one the active heap holds), stepping
+        // days reuses storage for ever.
+        let mut q = EventQueue::new();
+        let mut rng = crate::Rng::new(12);
+        for i in 0..8 {
+            q.schedule_at(Time::from_ps(rng.gen_range(192_000_000)), i);
+        }
+        sparse_hold(&mut q, &mut rng, 2_000);
+        let warm = q.stats();
+        assert!(warm.bucket_allocs > 0 && warm.bucket_allocs <= 9, "{warm:?}");
+        sparse_hold(&mut q, &mut rng, 100_000);
+        let hot = q.stats();
+        assert_eq!(hot.bucket_allocs, warm.bucket_allocs, "{hot:?}");
+        assert!(hot.advances - warm.advances > 90_000, "{hot:?}");
+        assert!(hot.pool_high_water <= 8 && hot.active_high_water <= 8, "{hot:?}");
+    }
+
+    #[test]
+    fn clear_returns_bucket_storage_to_the_pool() {
+        let mut q = EventQueue::new();
+        for epoch in 0..5u64 {
+            for i in 0..20 {
+                q.schedule_at(q.now() + Time::from_us(3 * (i + 1)), i); // 20 ring days
+            }
+            q.schedule_at(q.now() + Time::from_ms(30), 99); // overflow
+            q.pop();
+            q.clear();
+            assert!(q.is_empty() && q.peek_time().is_none());
+            // The active heap keeps the storage of the one bucket it
+            // was built from, so the second epoch allocates one more;
+            // from then on every day is served from the pool.
+            let want = if epoch == 0 { 20 } else { 21 };
+            assert_eq!(q.stats().bucket_allocs, want, "epoch {epoch}: {:?}", q.stats());
+        }
+        assert_eq!(q.stats().pool_high_water, 20);
+        assert_eq!(q.stats().overflow_pushes, 5);
+    }
+
+    #[test]
+    fn stats_count_overflow_traffic_and_active_peak() {
+        let mut q = EventQueue::new();
+        for i in 0..5 {
+            q.schedule_at(Time::from_ms(10), i); // one far day, 5 events
+        }
+        q.schedule_at(Time::from_ns(1), 9);
+        assert_eq!(q.stats().overflow_pushes, 5);
+        assert_eq!(q.stats().advances, 0);
+        q.pop(); // current day: no step
+        q.pop(); // steps to the overflow day, migrating all five
+        let s = q.stats();
+        assert_eq!((s.advances, s.overflow_migrated, s.active_high_water), (1, 5, 5));
+        assert_eq!(s.bucket_allocs, 0, "overflow → active never touches a bucket");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod rng;
 pub mod time;
 
 pub use builder::SimBuilder;
-pub use engine::{EventEntry, EventQueue, HeapEventQueue};
+pub use engine::{EventEntry, EventQueue, HeapEventQueue, QueueStats};
 pub use ewma::Ewma;
 pub use fault::{FaultKind, FaultPlan, LinkFaultProfile, LinkFlap};
 pub use rng::Rng;

@@ -4,15 +4,39 @@
 //! schedules, pops and clears — the proof obligation behind swapping the
 //! engine's future-event list implementation.
 
-use tcn_sim::{EventQueue, HeapEventQueue, Rng, Time};
+use tcn_sim::{EventQueue, HeapEventQueue, QueueStats, Rng, Time};
+
+/// Compare the two queues' `peek_time`, then pop both and compare the
+/// full entry. Returns whether there was an entry to pop.
+fn assert_same_pop(
+    cal: &mut EventQueue<u64>,
+    heap: &mut HeapEventQueue<u64>,
+    ctx: impl std::fmt::Display,
+) -> bool {
+    assert_eq!(cal.peek_time(), heap.peek_time(), "peek_time diverged {ctx}");
+    match (cal.pop(), heap.pop()) {
+        (None, None) => false,
+        (Some(x), Some(y)) => {
+            assert_eq!((x.at, x.seq, x.event), (y.at, y.seq, y.event), "pop diverged {ctx}");
+            true
+        }
+        (a, b) => panic!(
+            "emptiness diverged {ctx}: calendar {:?} vs heap {:?}",
+            a.map(|e| e.event),
+            b.map(|e| e.event)
+        ),
+    }
+}
 
 /// Drive both queues through `ops` randomized operations and assert the
 /// pop streams match step by step. The time distribution is shaped like
 /// a real DES run: mostly near-horizon offsets (within the calendar
 /// ring), some same-instant bursts (exercising the FIFO tie-break), a
 /// far-future tail (exercising the overflow tier and its migration), and
-/// occasional `Time::MAX` saturation.
-fn differential_run(seed: u64, ops: usize, clear_period: Option<u64>) {
+/// occasional `Time::MAX` saturation. Returns the calendar queue's
+/// self-counters as they stood at each clear.
+fn differential_run(seed: u64, ops: usize, clear_period: Option<u64>) -> Vec<QueueStats> {
+    let mut at_clear = Vec::new();
     let mut cal: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
     let mut rng = Rng::new(seed);
@@ -21,6 +45,7 @@ fn differential_run(seed: u64, ops: usize, clear_period: Option<u64>) {
     for op in 0..ops as u64 {
         if let Some(p) = clear_period {
             if op > 0 && op % p == 0 {
+                at_clear.push(cal.stats());
                 cal.clear();
                 heap.clear();
             }
@@ -45,36 +70,21 @@ fn differential_run(seed: u64, ops: usize, clear_period: Option<u64>) {
             cal.schedule_at(at, payload);
             heap.schedule_at(at, payload);
         } else {
-            // Pop and compare the full entry.
-            let a = cal.pop();
-            let b = heap.pop();
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.at, y.at, "pop time diverged at op {op}");
-                    assert_eq!(x.seq, y.seq, "pop seq diverged at op {op}");
-                    assert_eq!(x.event, y.event, "pop payload diverged at op {op}");
-                }
-                (a, b) => panic!(
-                    "emptiness diverged at op {op}: calendar {:?} vs heap {:?}",
-                    a.map(|e| e.event),
-                    b.map(|e| e.event)
-                ),
+            // Saturated events wait for the final drain: popping one
+            // parks the clock at `Time::MAX`, after which every schedule
+            // is the same instant and no day is ever stepped again
+            // (which a clear-heavy run used to do within two epochs).
+            if heap.peek_time() == Some(Time::MAX) {
+                continue;
             }
+            assert_same_pop(&mut cal, &mut heap, format_args!("at op {op}"));
         }
         assert_eq!(cal.len(), heap.len(), "len diverged at op {op}");
     }
 
     // Drain both completely: every remaining entry must match too.
-    loop {
-        match (cal.pop(), heap.pop()) {
-            (None, None) => break,
-            (Some(x), Some(y)) => {
-                assert_eq!((x.at, x.seq, x.event), (y.at, y.seq, y.event));
-            }
-            _ => panic!("drain length diverged"),
-        }
-    }
+    while assert_same_pop(&mut cal, &mut heap, "in the final drain") {}
+    at_clear
 }
 
 #[test]
@@ -94,7 +104,87 @@ fn multiple_seeds_without_clear() {
 fn clear_heavy_workload() {
     // Frequent clears: sequence numbering restarts constantly, so any
     // clear-state desync between the implementations surfaces fast.
-    differential_run(7, 120_000, Some(1_000));
+    let at_clear = differential_run(7, 120_000, Some(1_000));
+    // `clear()` hands bucket storage back to the pool, so an epoch
+    // allocates buckets only where it has more days non-empty at once
+    // than any epoch before it: the count settles while the day steps
+    // keep coming. Dropping the storage instead would cost every epoch
+    // what the first one paid.
+    let n = at_clear.len();
+    let (first, mid, last) = (at_clear[0], at_clear[n / 2], at_clear[n - 1]);
+    assert!(first.bucket_allocs > 0 && first.advances > 0);
+    assert!(
+        last.bucket_allocs - mid.bucket_allocs < first.bucket_allocs,
+        "bucket allocations keep growing across clears: {first:?} … {mid:?} … {last:?}"
+    );
+    assert!(last.advances - mid.advances > 10 * first.advances);
+}
+
+/// One calendar day and the ring's length in days — the engine's
+/// private `DAY_SHIFT` and `NUM_BUCKETS`, restated so the sparse run can
+/// aim at the ring's last day and the overflow tier's first.
+const DAY_PS: u64 = 1 << 20;
+const RING_DAYS: u64 = 1024;
+
+/// The sparse regime of a 1 Gbps star: at most 8 events resident and
+/// hundreds of empty days between them, so every pop is a day step and
+/// the occupancy scan crosses empty words and the wrap-around word.
+/// Deltas of 1…3 000 days straddle the ring's horizon; some aim exactly
+/// at its last day (`cur_day + 1023`) and at the overflow tier's first
+/// (`cur_day + 1024`). `peek_time` is compared before every pop, and a
+/// `clone()` taken mid-run must replay the oracle's stream.
+fn sparse_differential_run(seed: u64, pops: usize) {
+    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+    let mut rng = Rng::new(seed);
+    let mut payload = 0u64;
+    let mut saturated = 0;
+
+    for step in 0..pops {
+        // Top up to a resident count that wanders between 1 and 8. The
+        // saturated events stay resident to the end, so they come on top
+        // of the 1…6 that cycle (popping one mid-run would park the
+        // clock at `Time::MAX`).
+        let want = 1 + rng.gen_range(6) as usize + saturated;
+        while cal.len() < want {
+            let today = cal.now().as_ps() / DAY_PS;
+            let within_day = rng.gen_range(DAY_PS);
+            let shape = rng.gen_range(100);
+            let at = if shape < 70 {
+                let days = 1 + rng.gen_range(3_000);
+                cal.now().saturating_add(Time::from_ps(days * DAY_PS + within_day))
+            } else if shape < 80 {
+                Time::from_ps((today + RING_DAYS - 1) * DAY_PS + within_day)
+            } else if shape < 90 {
+                Time::from_ps((today + RING_DAYS) * DAY_PS + within_day)
+            } else if shape < 99 || saturated == 2 {
+                cal.now() // same instant: FIFO tie-break
+            } else {
+                saturated += 1;
+                Time::MAX
+            };
+            payload += 1;
+            cal.schedule_at(at, payload);
+            heap.schedule_at(at, payload);
+        }
+        if step == pops / 2 {
+            let (mut cal_fork, mut heap_fork) = (cal.clone(), heap.clone());
+            while assert_same_pop(&mut cal_fork, &mut heap_fork, "in the mid-run clone") {}
+        }
+        assert_same_pop(&mut cal, &mut heap, format_args!("at step {step}"));
+        assert_eq!(cal.len(), heap.len(), "len diverged at step {step}");
+    }
+    while assert_same_pop(&mut cal, &mut heap, "in the final drain") {}
+    assert_eq!(cal.now(), Time::MAX, "both saturated events were scheduled and popped");
+    let stats = cal.stats();
+    assert!(stats.overflow_migrated > 0 && stats.advances as usize > pops / 2, "{stats:?}");
+}
+
+#[test]
+fn sparse_days_wrap_and_ring_edge_match_oracle() {
+    for seed in [0x5A25E, 2, 3] {
+        sparse_differential_run(seed, 40_000);
+    }
 }
 
 /// The batched-drain differential: the same shaped workload as
@@ -210,18 +300,8 @@ fn overflow_heavy_workload() {
             cal.schedule_at(at, i);
             heap.schedule_at(at, i);
         } else {
-            match (cal.pop(), heap.pop()) {
-                (None, None) => {}
-                (Some(x), Some(y)) => assert_eq!((x.at, x.seq), (y.at, y.seq)),
-                _ => panic!("emptiness diverged"),
-            }
+            assert_same_pop(&mut cal, &mut heap, format_args!("at op {i}"));
         }
     }
-    loop {
-        match (cal.pop(), heap.pop()) {
-            (None, None) => break,
-            (Some(x), Some(y)) => assert_eq!((x.at, x.seq, x.event), (y.at, y.seq, y.event)),
-            _ => panic!("drain diverged"),
-        }
-    }
+    while assert_same_pop(&mut cal, &mut heap, "in the final drain") {}
 }

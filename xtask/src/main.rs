@@ -40,8 +40,10 @@
 //!   DCTCP/CUBIC/BBR figure at `--quick` with its JSONL trace
 //!   schema-validated), then a hybrid smoke stage (one `--quick` figure run
 //!   packet-level and again under `TCN_HYBRID=1`, asserting matching
-//!   summary statistics), then `bench --smoke`: the tier-1 gate in
-//!   one command. Stops at the first failing stage.
+//!   summary statistics), then `bench --smoke`, then a benchmark verify
+//!   stage (the benchmark harness's own unit tests, and its `verify`:
+//!   the benchmark's cells still equal the figure code's): the tier-1
+//!   gate in one command. Stops at the first failing stage.
 //!
 //! Everything here is pure std: the harness must work in an offline
 //! container with nothing but the Rust toolchain.
@@ -72,7 +74,7 @@ fn main() -> ExitCode {
             }
         }
         Some("ci") => {
-            let stages: [(&str, fn(&Path) -> ExitCode); 12] = [
+            let stages: [(&str, fn(&Path) -> ExitCode); 13] = [
                 ("build", |r| run_cargo(r, &["build", "--release", "--workspace"])),
                 ("test", |r| run_cargo(r, &["test", "-q"])),
                 // Tier-1 again in release with every runtime invariant
@@ -120,6 +122,11 @@ fn main() -> ExitCode {
                 // calendar-vs-binheap or batched-vs-per-event
                 // dispatch ratios fails the gate.
                 ("bench (smoke)", run_bench_smoke),
+                // The benchmark harness's unit tests (no other stage
+                // runs them), then its `verify`: a change that moved a
+                // benchmark cell's bytes fails here, before the PR
+                // driver compares counts.
+                ("benchmark (verify)", run_benchmark_verify),
             ];
             for (name, stage) in stages {
                 eprintln!("xtask ci: {name}");
@@ -151,7 +158,8 @@ fn main() -> ExitCode {
                  ci        build + test + test(audit) + lint-selftest +\n\
                  \x20         lint(json) + telemetry(smoke) + resume(smoke) +\n\
                  \x20         scenario(smoke) + fuzz(smoke) + cc(smoke) +\n\
-                 \x20         hybrid(smoke) + bench(smoke) (the tier-1 gate)"
+                 \x20         hybrid(smoke) + bench(smoke) + benchmark(verify)\n\
+                 \x20         (the tier-1 gate)"
             );
             if args.is_empty() {
                 ExitCode::from(2)
@@ -602,6 +610,24 @@ fn run_bench_smoke(repo: &Path) -> ExitCode {
         repo,
         &[
             "run", "--release", "-p", "tcn-bench", "--bin", "perfbench", "--", "--smoke",
+        ],
+    )
+}
+
+/// `cargo test -q -p tcn-bench`, then the benchmark's `verify --seed 1`.
+/// Run as `tcn-bench`'s bin — the same `main.rs` as the benchmark's own
+/// package, whose release profile a unit test pins to the workspace's —
+/// so the stage reuses the build stage's artifacts.
+fn run_benchmark_verify(repo: &Path) -> ExitCode {
+    let tests = run_cargo(repo, &["test", "-q", "-p", "tcn-bench"]);
+    if tests != ExitCode::SUCCESS {
+        return tests;
+    }
+    run_cargo(
+        repo,
+        &[
+            "run", "--release", "-p", "tcn-bench", "--bin", "benchmark", "--", "verify",
+            "--seed", "1",
         ],
     )
 }
