@@ -173,8 +173,7 @@ fn arena_measurement(flows: usize) -> Json {
 /// idle select is pure, so every port in the topology is
 /// coalescing-eligible (the sender NICs between ACK-clocked bursts,
 /// the receiver NIC and the switch ACK-return ports elide almost all
-/// their wakes), and the host-NIC uplinks additionally qualify for
-/// fluid service in hybrid mode.
+/// their wakes).
 fn incast_sim(fanout: usize, waves: usize, flow_bytes: u64) -> NetworkSim {
     let rate = Rate::from_gbps(10);
     let scheme = Scheme::Tcn {
@@ -215,19 +214,17 @@ fn incast_sim(fanout: usize, waves: usize, flow_bytes: u64) -> NetworkSim {
     sim
 }
 
-/// Run the incast macro-benchmark once under the given dispatch
-/// configuration: `(wall ms, events processed, fct checksum, drops,
-/// event-queue self-counters)`.
+/// Run the incast macro-benchmark once under the given dispatch mode:
+/// `(wall ms, events processed, fct checksum, drops, event-queue
+/// self-counters)`.
 fn incast_run(
     fanout: usize,
     waves: usize,
     flow_bytes: u64,
     mode: DispatchMode,
-    hybrid: bool,
 ) -> (f64, u64, u64, u64, QueueStats) {
     let mut sim = incast_sim(fanout, waves, flow_bytes);
     sim.set_dispatch_mode(mode);
-    sim.set_hybrid(hybrid);
     let t0 = Instant::now();
     assert!(sim.run_to_completion(Time::from_secs(60)).expect("run"));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -246,10 +243,10 @@ fn queue_stats_json(s: QueueStats) -> Json {
     ])
 }
 
-/// The dispatch-path comparison (DESIGN §7.5–7.7): per-event vs batched
-/// vs batched+hybrid on the incast macro-benchmark. Events/sec uses a
-/// *common* work unit — the per-event mode's event count — because
-/// coalescing and fluid service legitimately process fewer events for
+/// The dispatch-path comparison (DESIGN §7.5–7.6): the per-event
+/// reference loop vs the batched default on the incast macro-benchmark.
+/// Events/sec uses a *common* work unit — the per-event mode's event
+/// count — because coalescing legitimately processes fewer events for
 /// the same simulated work. Asserts batched output byte-identity along
 /// the way.
 fn dispatch_measurement(smoke: bool) -> Json {
@@ -261,19 +258,15 @@ fn dispatch_measurement(smoke: bool) -> Json {
     // Best-of-3 walls per mode, interleaved, so a scheduler hiccup does
     // not skew a ratio; outputs are asserted invariant across rounds.
     let unrun = (f64::INFINITY, 0u64, 0u64, 0u64, QueueStats::default());
-    let (mut pe, mut ba, mut hy) = (unrun, unrun, unrun);
+    let (mut pe, mut ba) = (unrun, unrun);
     for _ in 0..3 {
-        let r = incast_run(fanout, waves, bytes, DispatchMode::PerEvent, false);
+        let r = incast_run(fanout, waves, bytes, DispatchMode::PerEvent);
         if r.0 < pe.0 {
             pe = r;
         }
-        let r = incast_run(fanout, waves, bytes, DispatchMode::Batched, false);
+        let r = incast_run(fanout, waves, bytes, DispatchMode::Batched);
         if r.0 < ba.0 {
             ba = r;
-        }
-        let r = incast_run(fanout, waves, bytes, DispatchMode::Batched, true);
-        if r.0 < hy.0 {
-            hy = r;
         }
     }
     assert_eq!(
@@ -288,10 +281,8 @@ fn dispatch_measurement(smoke: bool) -> Json {
         ("flow_bytes", bytes.to_json()),
         ("per_event_wall_ms", pe.0.to_json()),
         ("batched_wall_ms", ba.0.to_json()),
-        ("hybrid_wall_ms", hy.0.to_json()),
         ("per_event_events", common_events.to_json()),
         ("batched_events", ba.1.to_json()),
-        ("hybrid_events", hy.1.to_json()),
         (
             "per_event_events_per_sec",
             (common_events as f64 / (pe.0 / 1e3)).round().to_json(),
@@ -301,8 +292,6 @@ fn dispatch_measurement(smoke: bool) -> Json {
             (common_events as f64 / (ba.0 / 1e3)).round().to_json(),
         ),
         ("batched_vs_per_event", (pe.0 / ba.0).to_json()),
-        ("hybrid_vs_per_event", (pe.0 / hy.0).to_json()),
-        ("hybrid_vs_batched", (ba.0 / hy.0).to_json()),
         // Deterministic, machine-independent: how many event-queue
         // round-trips per-event dispatch performs for each one the
         // batched drain (with per-port coalescing) performs on the
@@ -313,10 +302,6 @@ fn dispatch_measurement(smoke: bool) -> Json {
             "batched_work_per_pop_vs_per_event",
             (common_events as f64 / ba.1 as f64).to_json(),
         ),
-        (
-            "hybrid_work_per_pop_vs_per_event",
-            (common_events as f64 / hy.1 as f64).to_json(),
-        ),
         // The event queue's self-counters over the batched (default)
         // run: deterministic, so a queue change that steps more days or
         // starts allocating per step shows here at 0 % tolerance.
@@ -324,8 +309,8 @@ fn dispatch_measurement(smoke: bool) -> Json {
         (
             "note",
             "events/sec is per-event mode's event count over each mode's wall time \
-             (a common work unit; batched+hybrid pop fewer events for the same work); \
-             *_work_per_pop_vs_per_event is the deterministic version of the same \
+             (a common work unit; batched pops fewer events for the same work); \
+             batched_work_per_pop_vs_per_event is the deterministic version of the same \
              comparison at the queue layer: simulated events of work advanced per \
              event-queue pop, relative to per-event dispatch"
                 .to_json(),
@@ -437,9 +422,9 @@ fn gate_ratio(name: &str, current: f64, base: f64) -> Result<(), String> {
 
 /// Smoke gates: the calendar-vs-binheap pop throughput ratios (dense
 /// and sparse hold models), plus the dispatch-path ratios (batched
-/// speedup over per-event, hybrid speedup over batched) — all ratios of
-/// two walls on the same host, so they transfer across machines the way
-/// raw events/sec never could.
+/// speedup over per-event, by wall and by work per pop) — ratios on
+/// one host, so they transfer across machines the way raw events/sec
+/// never could.
 fn smoke_gate(engine: &Json) -> Result<(), String> {
     let path = repo_root().join("BENCH_engine.json");
     let baseline = std::fs::read_to_string(&path)
@@ -463,12 +448,7 @@ fn smoke_gate(engine: &Json) -> Result<(), String> {
     // Wall ratios are machine- and load-sensitive; the work-per-pop
     // ratios are deterministic for a given benchmark config, so a drop
     // there means the coalescing machinery actually elides less.
-    for metric in [
-        "batched_vs_per_event",
-        "hybrid_vs_batched",
-        "batched_work_per_pop_vs_per_event",
-        "hybrid_work_per_pop_vs_per_event",
-    ] {
+    for metric in ["batched_vs_per_event", "batched_work_per_pop_vs_per_event"] {
         let current = dispatch.f64_field(metric).expect("dispatch object just built");
         let base = base_dispatch
             .f64_field(metric)

@@ -1,10 +1,11 @@
 //! `tcn-bench` — shared scaffolding for the Criterion benchmarks.
 //!
-//! Each `benches/figNN_*.rs` target regenerates one paper figure at a
-//! bench-friendly scale and reports the wall time of the regeneration;
-//! `benches/engine.rs` micro-benchmarks the simulator substrate, and
-//! `benches/ablations.rs` sweeps the design knobs DESIGN.md calls out
-//! (TCN threshold, Algorithm-1 `dq_thresh`, queue count, marking point).
+//! `benches/figures.rs` regenerates each paper figure at a
+//! bench-friendly scale, one table row per figure, and reports the wall
+//! time of each regeneration; `benches/engine.rs` micro-benchmarks the
+//! simulator substrate, and `benches/ablations.rs` sweeps the design
+//! knobs DESIGN.md calls out (TCN threshold, Algorithm-1 `dq_thresh`,
+//! queue count, marking point).
 //!
 //! The printed figures themselves come from the `tcn-experiments`
 //! binaries; benches exist so `cargo bench` exercises every experiment

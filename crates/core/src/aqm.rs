@@ -171,16 +171,6 @@ pub trait Aqm {
     fn marks_only(&self) -> bool {
         false
     }
-
-    /// True if this scheme is a pure pass-through: it admits every
-    /// packet, never CE-marks, never drops, and keeps no state that the
-    /// rest of the simulation can observe. A port running a pass-through
-    /// scheme (with no buffer bound) has closed-form FIFO service, which
-    /// the hybrid dispatch mode exploits (`tcn-net`, DESIGN §7.7).
-    /// Defaults to `false` — a scheme must opt in to the claim.
-    fn is_passthrough(&self) -> bool {
-        false
-    }
 }
 
 /// A no-op AQM: never marks, never drops. Useful as a control and for
@@ -216,11 +206,6 @@ impl Aqm for NoAqm {
 
     /// Trivially mark-only: never touches the dequeue verdict at all.
     fn marks_only(&self) -> bool {
-        true
-    }
-
-    /// The defining pass-through: admit everything, touch nothing.
-    fn is_passthrough(&self) -> bool {
         true
     }
 }

@@ -43,7 +43,6 @@ fn usage() -> ! {
 }
 
 fn main() {
-    tcn_experiments::runner::apply_env_modes();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     match cmd.as_str() {

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::impl_to_json;
 use tcn_core::TcnError;
 use tcn_net::{NetworkBuilder, NetworkSim, TaggingPolicy, TransportChoice, Watchdog};
-use tcn_net::{FlowSpec, LeafSpineConfig};
+use tcn_net::LeafSpineConfig;
 use tcn_sim::{Rate, Rng, Time};
 use tcn_stats::FctBreakdown;
 use tcn_workloads::{gen_all_to_all, gen_many_to_one, Workload};
@@ -358,11 +358,31 @@ impl SweepOpts {
     }
 }
 
-fn build_sim(cfg: &SweepConfig, scheme: Scheme, seed: u64) -> Result<NetworkSim, TcnError> {
+/// Build one (scheme, load-index) cell ready to run: the figure's
+/// network with the cell's flow set registered. [`run_cell`] runs every
+/// sweep cell through this, so a differential test that builds a cell
+/// twice compares exactly what the figures simulate.
+///
+/// Attempt 0 uses the canonical per-load flow seed — every scheme at
+/// one load replays the identical arrival sequence; retry attempt
+/// `k > 0` re-derives the flow seed through `Rng::stream`, so a retried
+/// cell replays a fresh but deterministic arrival sequence.
+///
+/// # Errors
+/// [`TcnError`] from the network builder (broken topology, bad config).
+pub fn build_cell(
+    cfg: &SweepConfig,
+    scale: &Scale,
+    scheme: Scheme,
+    li: usize,
+    load: f64,
+    attempt: u32,
+) -> Result<NetworkSim, TcnError> {
     // SweepConfig is Copy, so the port factory can own everything it
     // needs for the builder's 'static closure.
     let c = *cfg;
-    match cfg.env {
+    let port_seed = scale.seed;
+    let mut sim = match cfg.env {
         Environment::TestbedStar => {
             NetworkBuilder::single_switch(9, cfg.rate, params::testbed::LINK_DELAY)
         }
@@ -379,15 +399,19 @@ fn build_sim(cfg: &SweepConfig, scheme: Scheme, seed: u64) -> Result<NetworkSim,
             scheme,
             c.rate,
             1500,
-            seed,
+            port_seed,
         )
     })
-    .build()
-}
+    .build()?;
 
-fn gen_flows(cfg: &SweepConfig, load: f64, scale: &Scale, seed: u64) -> Vec<FlowSpec> {
-    let mut rng = Rng::new(seed);
-    match cfg.env {
+    let base_seed = scale.seed.wrapping_mul(1000).wrapping_add(li as u64);
+    let flow_seed = if attempt == 0 {
+        base_seed
+    } else {
+        Rng::stream(base_seed, u64::from(attempt)).next_u64()
+    };
+    let mut rng = Rng::new(flow_seed);
+    let flows = match cfg.env {
         Environment::TestbedStar => {
             let senders: Vec<u32> = (0..8).collect();
             // Services: DSCPs 0..4 under plain isolation, 1..5 under
@@ -421,7 +445,11 @@ fn gen_flows(cfg: &SweepConfig, load: f64, scale: &Scale, seed: u64) -> Vec<Flow
                 Time::ZERO,
             )
         }
+    };
+    for f in flows {
+        sim.add_flow(f);
     }
+    Ok(sim)
 }
 
 /// Run the full sweep.
@@ -561,11 +589,8 @@ pub fn run_with_opts(
     Ok(SweepResult { cells, quarantined })
 }
 
-/// Run one (scheme, load-index) cell, optionally with a telemetry bus
-/// installed before the run. Attempt 0 uses the canonical per-load flow
-/// seed (so isolated and non-isolated runs are byte-identical); retry
-/// attempt `k > 0` re-derives the flow seed through `Rng::stream`, so a
-/// retried cell replays a fresh but deterministic arrival sequence.
+/// Run one (scheme, load-index) cell built by [`build_cell`],
+/// optionally with a telemetry bus installed before the run.
 #[allow(clippy::too_many_arguments)] // harness plumbing, two call sites
 fn run_cell(
     cfg: &SweepConfig,
@@ -577,23 +602,12 @@ fn run_cell(
     watchdog: Option<&Watchdog>,
     bus: Option<&tcn_telemetry::Telemetry>,
 ) -> Result<SweepCell, TcnError> {
-    // Same flow set for every scheme at this load.
-    let base_seed = scale.seed.wrapping_mul(1000).wrapping_add(li as u64);
-    let flow_seed = if attempt == 0 {
-        base_seed
-    } else {
-        Rng::stream(base_seed, u64::from(attempt)).next_u64()
-    };
-    let flows = gen_flows(cfg, load, scale, flow_seed);
-    let mut sim = build_sim(cfg, scheme, scale.seed)?;
+    let mut sim = build_cell(cfg, scale, scheme, li, load, attempt)?;
     if let Some(wd) = watchdog {
         sim.set_watchdog(wd.clone());
     }
     if let Some(bus) = bus {
         sim.install_telemetry(bus);
-    }
-    for f in &flows {
-        sim.add_flow(*f);
     }
     let done = sim.run_to_completion(Time::from_secs(10_000))?;
     if let Some(bus) = bus {

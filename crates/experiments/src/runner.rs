@@ -130,35 +130,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Dispatch-mode policy from the environment, applied onto the
-/// [`tcn_net`] process-wide defaults that every subsequently built
-/// `NetworkSim` inherits. Call once at binary startup, before any
-/// network is constructed.
-///
-/// * `TCN_DISPATCH` — `batched` (the default) or `per_event`; the two
-///   produce byte-identical figure output, so the knob exists for
-///   benchmarking and differential debugging, not correctness.
-/// * `TCN_HYBRID` — `1`/`true`/`on` opts bulk flows on host NICs into
-///   the fluid fast path (DESIGN.md §7.7); anything else leaves the
-///   exact packet-level default.
-pub fn apply_env_modes() {
-    if let Ok(v) = std::env::var("TCN_DISPATCH") {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "per_event" | "per-event" => {
-                tcn_net::set_default_dispatch_mode(tcn_net::DispatchMode::PerEvent);
-            }
-            "batched" | "batch" => {
-                tcn_net::set_default_dispatch_mode(tcn_net::DispatchMode::Batched);
-            }
-            other => eprintln!("TCN_DISPATCH={other:?} ignored (batched|per_event)"),
-        }
-    }
-    if let Ok(v) = std::env::var("TCN_HYBRID") {
-        let on = matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on");
-        tcn_net::set_default_hybrid(on);
-    }
-}
-
 /// Run `f(0..n)` across `threads` scoped workers and return the results
 /// in cell order (`out[i] == f(i)`), regardless of which worker ran
 /// which cell. `f` must be a pure function of the cell index for the

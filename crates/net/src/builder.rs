@@ -31,7 +31,7 @@ use tcn_sim::{FaultPlan, Rate, Time};
 use tcn_telemetry::Telemetry;
 use tcn_transport::{Cc, TcpConfig};
 
-use crate::network::{DispatchMode, LinkSpec, NetworkSim, NodeId, TaggingPolicy};
+use crate::network::{LinkSpec, NetworkSim, NodeId, TaggingPolicy};
 use crate::port::PortSetup;
 use crate::topology::{dumbbell, fat_tree, leaf_spine, single_switch, LeafSpineConfig};
 use crate::watchdog::Watchdog;
@@ -86,8 +86,6 @@ pub struct NetworkBuilder {
     faults: Option<FaultPlan>,
     telemetry: Option<Telemetry>,
     watchdog: Option<Watchdog>,
-    dispatch: Option<DispatchMode>,
-    hybrid: Option<bool>,
 }
 
 impl NetworkBuilder {
@@ -105,8 +103,6 @@ impl NetworkBuilder {
             faults: None,
             telemetry: None,
             watchdog: None,
-            dispatch: None,
-            hybrid: None,
         }
     }
 
@@ -226,22 +222,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Pin the simulation's dispatch mode (see
-    /// [`NetworkSim::set_dispatch_mode`]); unset, the process-wide
-    /// default applies (batched).
-    pub fn dispatch(mut self, mode: DispatchMode) -> Self {
-        self.dispatch = Some(mode);
-        self
-    }
-
-    /// Opt into the hybrid fluid fast path (see
-    /// [`NetworkSim::set_hybrid`]); unset, the process-wide default
-    /// applies (off).
-    pub fn hybrid(mut self, on: bool) -> Self {
-        self.hybrid = Some(on);
-        self
-    }
-
     /// Build the simulation.
     ///
     /// # Errors
@@ -326,12 +306,6 @@ impl NetworkBuilder {
         }
         if let Some(wd) = self.watchdog {
             sim.set_watchdog(wd);
-        }
-        if let Some(mode) = self.dispatch {
-            sim.set_dispatch_mode(mode);
-        }
-        if let Some(on) = self.hybrid {
-            sim.set_hybrid(on);
         }
         Ok(sim)
     }

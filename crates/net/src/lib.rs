@@ -40,7 +40,6 @@ pub mod watchdog;
 pub use builder::NetworkBuilder;
 pub use tcn_transport::Cc;
 pub use network::{
-    default_dispatch_mode, default_hybrid, set_default_dispatch_mode, set_default_hybrid,
     DispatchMode, FaultStats, FctRecord, FlowSpec, LinkSpec, NetMutation, NetworkSim, NodeId,
     ProbeConfig, TaggingPolicy, TransportChoice,
 };

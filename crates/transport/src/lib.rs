@@ -44,7 +44,6 @@
 
 pub mod cc;
 pub mod ecn;
-pub mod fluid;
 pub mod intervals;
 pub mod receiver;
 pub mod rtt;
@@ -52,7 +51,6 @@ pub mod sender;
 
 pub use cc::{BbrCc, BbrParams, Cc, CcAlgo, CcCtx, CongestionControl, CubicCc, DctcpCc, EcnStarCc};
 pub use ecn::{EcnPathState, EcnValidator};
-pub use fluid::FluidCursor;
 pub use intervals::ByteIntervals;
 pub use receiver::TcpReceiver;
 pub use rtt::RttEstimator;

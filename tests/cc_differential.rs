@@ -6,20 +6,12 @@
 //! commit immediately before the trait existed; any float reordered,
 //! any RNG draw added, any packet field touched on the wire shows up
 //! here as a hash mismatch.
-//!
-//! The dispatch knobs are process-wide defaults, so these tests
-//! serialize on one lock like `dispatch_differential.rs` does.
-
-use std::sync::Mutex;
 
 use tcn_experiments::checkpoint::fnv1a;
 use tcn_experiments::common::Scale;
 use tcn_experiments::fct_sweep::{self, SweepConfig};
 use tcn_experiments::json::ToJson;
 use tcn_net::TransportChoice;
-
-/// Serializes tests that run sweeps with thread-count overrides.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// The fig6 slice the pre-refactor hashes were captured on.
 fn slice_scale() -> Scale {
@@ -45,7 +37,6 @@ fn slice_hash(cfg: &SweepConfig, threads: usize) -> u64 {
 /// worker threads. Hash captured pre-refactor (see module docs).
 #[test]
 fn dctcp_through_trait_is_byte_identical_to_pre_refactor() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SweepConfig::fig6();
     for threads in [1usize, 4] {
         assert_eq!(
@@ -61,7 +52,6 @@ fn dctcp_through_trait_is_byte_identical_to_pre_refactor() {
 /// threads.
 #[test]
 fn ecnstar_through_trait_is_byte_identical_to_pre_refactor() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SweepConfig {
         transport: TransportChoice::SimEcnStar,
         ..SweepConfig::fig6()

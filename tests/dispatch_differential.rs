@@ -1,139 +1,94 @@
-//! Dispatch-mode byte-identity: the batched same-timestamp drain (with
-//! its per-port TxDone coalescing) must be *indistinguishable* from the
-//! legacy per-event loop in every figure-facing number — same FCTs,
-//! same drops, same timeouts — across figure slices, fuzz seeds, and
-//! thread counts. Hybrid mode is opt-in, so hybrid-off must likewise
-//! equal the default exactly.
+//! Dispatch byte-identity on what the figures actually simulate: the
+//! batched same-timestamp drain (with its per-port TxDone coalescing)
+//! must be *indistinguishable* from the per-event reference loop in
+//! every number a figure reads — same per-flow FCTs, drops, marks,
+//! timeouts, fault counts and reconfiguration log.
 //!
-//! The dispatch knobs are process-wide defaults (`tcn_net`'s atomics),
-//! so every test here serializes on one lock and restores the defaults
-//! before returning.
-
-use std::sync::Mutex;
+//! Each sim comes from the figure code's own constructor
+//! (`fct_sweep::build_cell`, `scenario::engine::build_sim`) and is built
+//! twice: one copy stays on the default batched loop, the other is put
+//! on the reference loop through `NetworkSim::set_dispatch_mode` — a
+//! per-simulation seam, so nothing here is process-wide. Thread-count
+//! invariance is `determinism.rs`'s and `cc_differential.rs`'s job.
 
 use tcn_experiments::common::Scale;
 use tcn_experiments::fct_sweep::{self, SweepConfig};
-use tcn_experiments::json::ToJson;
-use tcn_experiments::scenario::{run_fuzz, FuzzOpts};
-use tcn_net::{set_default_dispatch_mode, set_default_hybrid, DispatchMode};
+use tcn_experiments::scenario::{engine, fuzz};
+use tcn_net::{DispatchMode, NetworkSim};
+use tcn_sim::Time;
 
-/// Serializes tests that flip the process-wide dispatch defaults.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+/// Run `sim` to completion under `mode` and render everything a figure
+/// could read from it. `events_processed` is deliberately absent:
+/// coalescing legitimately elides trailing TxDone events.
+fn run_bytes(mut sim: NetworkSim, mode: DispatchMode, deadline: Time) -> String {
+    sim.set_dispatch_mode(mode);
+    let done = sim.run_to_completion(deadline).expect("run failed");
+    let ports: Vec<_> = (0..sim.num_links()).map(|l| sim.port(l).stats()).collect();
+    format!(
+        "done={done} now={:?} timeouts={}\n{:?}\n{ports:?}\n{:?}\n{:?}",
+        sim.now(),
+        sim.total_timeouts(),
+        sim.fct_records(),
+        sim.fault_stats(),
+        sim.reconfig_log(),
+    )
+}
 
-/// A one-load slice of a figure sweep — enough flows for queues to
-/// build and drop, small enough to run four configurations per test.
-fn slice_scale() -> Scale {
-    Scale {
+fn assert_mode_invariant(build: impl Fn() -> NetworkSim, deadline: Time, tag: &str) {
+    let batched = run_bytes(build(), DispatchMode::Batched, deadline);
+    assert!(
+        batched.starts_with("done=true"),
+        "{tag}: flows did not finish"
+    );
+    let per_event = run_bytes(build(), DispatchMode::PerEvent, deadline);
+    assert_eq!(
+        batched, per_event,
+        "{tag}: batched dispatch diverged from the reference loop"
+    );
+}
+
+/// Every (scheme, load) cell of a one-load slice of a figure sweep —
+/// enough flows for queues to build and drop.
+fn assert_slice_mode_invariant(cfg: &SweepConfig, tag: &str) {
+    let scale = Scale {
         flows: 300,
         loads: &[0.8],
         seed: 11,
-    }
-}
-
-/// Run `cfg` under the given dispatch configuration and render the
-/// whole `SweepResult` (every cell, every quarantine) to JSON text —
-/// the byte-identity unit of comparison.
-fn sweep_bytes(
-    cfg: &SweepConfig,
-    threads: usize,
-    mode: DispatchMode,
-    hybrid: bool,
-) -> String {
-    set_default_dispatch_mode(mode);
-    set_default_hybrid(hybrid);
-    let res = fct_sweep::run_schemes_with_threads(
-        cfg,
-        &slice_scale(),
-        &cfg.schemes(),
-        threads,
-    );
-    set_default_dispatch_mode(DispatchMode::Batched);
-    set_default_hybrid(false);
-    res.to_json().pretty()
-}
-
-fn assert_slice_mode_invariant(cfg: &SweepConfig, tag: &str) {
-    let reference = sweep_bytes(cfg, 1, DispatchMode::Batched, false);
-    assert!(
-        !reference.is_empty() && reference.contains("cells"),
-        "{tag}: reference run produced no output"
-    );
-    for threads in [1usize, 4] {
-        for mode in [DispatchMode::Batched, DispatchMode::PerEvent] {
-            let got = sweep_bytes(cfg, threads, mode, false);
-            assert_eq!(
-                got, reference,
-                "{tag}: {mode:?} dispatch at {threads} thread(s) diverged from \
-                 batched/1-thread reference"
-            );
-        }
+    };
+    for (scheme, li, load) in fct_sweep::sweep_grid(&scale, &cfg.schemes()) {
+        assert_mode_invariant(
+            || fct_sweep::build_cell(cfg, &scale, scheme, li, load, 0).expect("cell builds"),
+            Time::from_secs(10_000),
+            &format!("{tag}/{}", scheme.name()),
+        );
     }
 }
 
 /// Fig. 6 slice (DWRR switch ports — coalescing-ineligible scheduler,
-/// so this exercises the plain batched drain): byte-identical output
-/// across both dispatch modes and TCN_THREADS ∈ {1, 4}.
+/// so this exercises the plain batched drain behind coalescing host
+/// NICs).
 #[test]
 fn fig6_slice_is_dispatch_mode_invariant() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert_slice_mode_invariant(&SweepConfig::fig6(), "fig6");
 }
 
 /// Fig. 7 slice (WFQ switch ports — a pure-idle-select scheduler, so
-/// batched mode actually coalesces trailing TxDone wakes here): still
-/// byte-identical across modes and thread counts.
+/// batched mode coalesces trailing TxDone wakes at the switch too).
 #[test]
 fn fig7_slice_is_dispatch_mode_invariant() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert_slice_mode_invariant(&SweepConfig::fig7(), "fig7");
 }
 
-/// Hybrid *off* must be a no-op: explicitly disabling the fluid fast
-/// path yields the exact bytes the default configuration yields.
-#[test]
-fn hybrid_off_matches_default_exactly() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = SweepConfig::fig6();
-    let default = sweep_bytes(&cfg, 4, DispatchMode::Batched, false);
-    // `set_default_hybrid(false)` is the factory state; run it again
-    // after a hybrid-on run to prove the toggle leaves no residue.
-    set_default_hybrid(true);
-    set_default_hybrid(false);
-    let off_again = sweep_bytes(&cfg, 4, DispatchMode::Batched, false);
-    assert_eq!(off_again, default, "hybrid-off run diverged from default");
-}
-
-/// The seeded scenario fuzzer — flows under link flaps, loss, jitter
-/// and live reconfiguration — reports byte-identical per-seed lines
-/// under both dispatch modes at 1 and 4 worker threads.
+/// The seeded scenario fuzzer's scenarios — flows under link flaps,
+/// loss, jitter and live reconfiguration.
 #[test]
 fn fuzz_seeds_are_dispatch_mode_invariant() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let opts = |threads: usize| FuzzOpts {
-        seeds: 8,
-        master_seed: 0xC4A0_5EED,
-        step_budget: 6,
-        threads,
-        quarantine_dir: None,
-    };
-    set_default_dispatch_mode(DispatchMode::Batched);
-    let reference = run_fuzz(&opts(1));
-    assert_eq!(reference.seeds, 8);
-    assert_eq!(reference.lines.len(), 8);
-    for threads in [1usize, 4] {
-        for mode in [DispatchMode::Batched, DispatchMode::PerEvent] {
-            set_default_dispatch_mode(mode);
-            let got = run_fuzz(&opts(threads));
-            set_default_dispatch_mode(DispatchMode::Batched);
-            assert_eq!(
-                got.lines, reference.lines,
-                "fuzz lines diverged under {mode:?} dispatch at {threads} thread(s)"
-            );
-            assert_eq!(
-                got.failures.len(),
-                reference.failures.len(),
-                "fuzz failure count diverged under {mode:?} at {threads} thread(s)"
-            );
-        }
+    for seed in 0..8 {
+        let sc = fuzz::gen_scenario(0xC4A0_5EED, seed, 6);
+        assert_mode_invariant(
+            || engine::build_sim(&sc, true).expect("scenario builds"),
+            sc.base.deadline,
+            &format!("fuzz seed {seed}"),
+        );
     }
 }

@@ -38,9 +38,7 @@
 //!   stage (eight fixed scenario-fuzzer seeds, zero violations
 //!   expected), then a cc smoke stage (the mixed-tenant
 //!   DCTCP/CUBIC/BBR figure at `--quick` with its JSONL trace
-//!   schema-validated), then a hybrid smoke stage (one `--quick` figure run
-//!   packet-level and again under `TCN_HYBRID=1`, asserting matching
-//!   summary statistics), then `bench --smoke`, then a benchmark verify
+//!   schema-validated), then `bench --smoke`, then a benchmark verify
 //!   stage (the benchmark harness's own unit tests, and its `verify`:
 //!   the benchmark's cells still equal the figure code's): the tier-1
 //!   gate in one command. Stops at the first failing stage.
@@ -74,7 +72,7 @@ fn main() -> ExitCode {
             }
         }
         Some("ci") => {
-            let stages: [(&str, fn(&Path) -> ExitCode); 13] = [
+            let stages: [(&str, fn(&Path) -> ExitCode); 12] = [
                 ("build", |r| run_cargo(r, &["build", "--release", "--workspace"])),
                 ("test", |r| run_cargo(r, &["test", "-q"])),
                 // Tier-1 again in release with every runtime invariant
@@ -112,12 +110,6 @@ fn main() -> ExitCode {
                 // CUBIC and BBR sharing one port), the ECN-capability
                 // split, and the CC telemetry events agree end to end.
                 ("cc (smoke)", run_cc_smoke),
-                // One quick figure twice — packet-level and
-                // `TCN_HYBRID=1` — asserting matching summary
-                // statistics (identical grid, flow and completion
-                // counts; toleranced mean FCTs): the fluid fast path
-                // must not move a figure's conclusions.
-                ("hybrid (smoke)", run_hybrid_smoke),
                 // Guard the hot-path baselines: a >25% drop in the
                 // calendar-vs-binheap or batched-vs-per-event
                 // dispatch ratios fails the gate.
@@ -158,7 +150,7 @@ fn main() -> ExitCode {
                  ci        build + test + test(audit) + lint-selftest +\n\
                  \x20         lint(json) + telemetry(smoke) + resume(smoke) +\n\
                  \x20         scenario(smoke) + fuzz(smoke) + cc(smoke) +\n\
-                 \x20         hybrid(smoke) + bench(smoke) + benchmark(verify)\n\
+                 \x20         bench(smoke) + benchmark(verify)\n\
                  \x20         (the tier-1 gate)"
             );
             if args.is_empty() {
@@ -463,146 +455,6 @@ fn run_fuzz_smoke(repo: &Path) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Hybrid-equivalence gate. Runs `figs fig6 --quick --json` twice in
-/// `target/hybrid-smoke/` — once packet-level, once with
-/// `TCN_HYBRID=1` — and requires the two `results/fig6.json`
-/// documents to report matching summary statistics: an identical cell
-/// grid (scheme, load), identical flow and completion counts, an
-/// identical quarantine list, and mean FCTs that stay close.
-///
-/// Why toleranced and not byte-equal: the fluid recurrence reproduces
-/// FIFO service to the picosecond
-/// (`fluid_recurrence_is_exact_without_contention` covers the
-/// bit-exact claim), but eliding per-packet NIC events allocates
-/// arrival sequence numbers at enqueue rather than departure, so
-/// same-instant ties at a congested switch resolve differently and
-/// the run's chaotic dynamics re-roll. Mean FCTs over hundreds of
-/// flows absorb that (observed ≲7% at `--quick` scale, gated at 25%
-/// per cell / 10% on the grid-wide mean drift); extreme order
-/// statistics (p99, per-cell timeout and drop counts) do not, and are
-/// deliberately not gated — a real fluid bug (wrong rate, lost or
-/// duplicated bytes) shows up as missing completions or a uniformly
-/// biased mean, both of which this gate catches.
-fn run_hybrid_smoke(repo: &Path) -> ExitCode {
-    let dir = repo.join("target").join("hybrid-smoke");
-    let _ = std::fs::remove_dir_all(&dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("xtask: create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let figs = |hybrid: bool| -> bool {
-        let mut cmd = Command::new("cargo");
-        cmd.args([
-            "run", "--release", "-p", "tcn-experiments", "--bin", "figs", "--", "fig6",
-            "--quick", "--json",
-        ])
-        .current_dir(&dir)
-        .env_remove("TCN_HYBRID")
-        .env_remove("TCN_DISPATCH");
-        if hybrid {
-            cmd.env("TCN_HYBRID", "1");
-        }
-        match cmd.status() {
-            Ok(s) if s.success() => true,
-            Ok(s) => {
-                eprintln!("xtask: figs fig6 (hybrid = {hybrid}) exited {s}");
-                false
-            }
-            Err(e) => {
-                eprintln!("xtask: failed to spawn cargo: {e}");
-                false
-            }
-        }
-    };
-    let json = dir.join("results").join("fig6.json");
-    let read = |label: &str| -> Option<String> {
-        match std::fs::read_to_string(&json) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("xtask: read {} ({label}): {e}", json.display());
-                None
-            }
-        }
-    };
-    if !figs(false) {
-        return ExitCode::FAILURE;
-    }
-    let Some(packet) = read("packet run") else {
-        return ExitCode::FAILURE;
-    };
-    if !figs(true) {
-        return ExitCode::FAILURE;
-    }
-    let Some(hybrid) = read("hybrid run") else {
-        return ExitCode::FAILURE;
-    };
-    match hybrid_summaries_match(&packet, &hybrid) {
-        Ok(cells) => {
-            eprintln!(
-                "xtask: hybrid fig6 matches packet-mode summary statistics \
-                 across {cells} cell(s)"
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask: hybrid fig6 diverged from packet mode: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Cell-by-cell comparison for [`run_hybrid_smoke`]; returns the cell
-/// count on success. Grid identity is exact; continuous statistics are
-/// toleranced (see the caller's doc comment for why).
-fn hybrid_summaries_match(packet: &str, hybrid: &str) -> Result<usize, String> {
-    use xtask::jsonck::Json;
-    let p = jsonck::parse(packet).map_err(|e| format!("packet run JSON: {e}"))?;
-    let h = jsonck::parse(hybrid).map_err(|e| format!("hybrid run JSON: {e}"))?;
-    if p.get("quarantined") != h.get("quarantined") {
-        return Err("quarantine lists differ".into());
-    }
-    let cells = |doc: &Json, tag: &str| match doc.get("cells") {
-        Some(Json::Arr(c)) => Ok(c.clone()),
-        _ => Err(format!("{tag} run has no `cells` array")),
-    };
-    let (pc, hc) = (cells(&p, "packet")?, cells(&h, "hybrid")?);
-    if pc.len() != hc.len() {
-        return Err(format!("cell grids differ: {} vs {} cells", pc.len(), hc.len()));
-    }
-    let num = |cell: &Json, key: &str| match cell.get(key) {
-        Some(Json::Num(n)) => Ok(*n),
-        _ => Err(format!("cell missing numeric `{key}`")),
-    };
-    let mut drift_sum = 0.0;
-    for (i, (a, b)) in pc.iter().zip(&hc).enumerate() {
-        for key in ["scheme", "load", "flows", "completed"] {
-            if a.get(key) != b.get(key) {
-                return Err(format!("cell {i}: `{key}` differs ({:?} vs {:?})", a.get(key), b.get(key)));
-            }
-        }
-        for key in ["overall_avg_us", "small_avg_us", "large_avg_us"] {
-            let (x, y) = (num(a, key)?, num(b, key)?);
-            let scale = x.abs().max(y.abs());
-            let rel = if scale > 0.0 { (x - y).abs() / scale } else { 0.0 };
-            if rel > 0.25 {
-                return Err(format!("cell {i}: `{key}` off by >25% ({x} vs {y})"));
-            }
-            if key == "overall_avg_us" {
-                drift_sum += rel;
-            }
-        }
-    }
-    let mean_drift = drift_sum / pc.len().max(1) as f64;
-    if mean_drift > 0.10 {
-        return Err(format!(
-            "grid-wide mean `overall_avg_us` drift {:.1}% exceeds 10% — \
-             the fluid fast path is biasing mean FCTs",
-            mean_drift * 100.0
-        ));
-    }
-    Ok(pc.len())
 }
 
 fn run_bench_smoke(repo: &Path) -> ExitCode {
