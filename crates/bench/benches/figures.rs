@@ -4,21 +4,17 @@
 
 use tcn_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tcn_bench::{bench_scale, heavy};
-use tcn_experiments::fct_sweep::{self, SweepConfig};
+use tcn_experiments::fct_sweep::run_schemes_with_threads;
+use tcn_experiments::figs::SWEEPS;
+use tcn_experiments::runner::default_threads;
 use tcn_experiments::{fig1, fig2, fig3, fig4, fig5};
 use tcn_net::LeafSpineConfig;
 use tcn_sim::{Rng, Time};
 use tcn_workloads::Workload;
 
-/// One FCT-sweep figure (Figs. 6–13) at [`bench_scale`].
-fn sweep(cfg: SweepConfig) {
-    let res = fct_sweep::run(&cfg, &bench_scale());
-    assert!(!res.cells.is_empty());
-    black_box(res);
-}
-
-/// `(bench name, figure body)` — what each figure regenerates is in
-/// DESIGN §3.
+/// `(bench name, figure body)` of Figs. 1–5 — what each figure
+/// regenerates is in DESIGN §3. Figs. 6–13 come from the registry's
+/// [`SWEEPS`] table.
 const FIGURES: &[(&str, fn())] = &[
     ("fig01_perport_violation", || {
         let res = fig1::run(&[8], Time::from_ms(100));
@@ -43,27 +39,22 @@ const FIGURES: &[(&str, fn())] = &[
         assert_eq!(res.rtts.len(), 4);
         black_box(res);
     }),
-    ("fig06_isolation_dwrr", || sweep(SweepConfig::fig6())),
-    ("fig07_isolation_wfq", || sweep(SweepConfig::fig7())),
-    ("fig08_priority_sp_dwrr", || sweep(SweepConfig::fig8())),
-    ("fig09_priority_sp_wfq", || sweep(SweepConfig::fig9())),
-    ("fig10_leafspine_sp_dwrr", || {
-        sweep(SweepConfig::fig10(LeafSpineConfig::small()))
-    }),
-    ("fig11_leafspine_sp_wfq", || {
-        sweep(SweepConfig::fig11(LeafSpineConfig::small()))
-    }),
-    ("fig12_ecnstar", || {
-        sweep(SweepConfig::fig12(LeafSpineConfig::small()))
-    }),
-    ("fig13_many_queues", || {
-        sweep(SweepConfig::fig13(LeafSpineConfig::small()))
-    }),
 ];
 
 fn bench(c: &mut Criterion) {
     for &(name, body) in FIGURES {
         c.bench_function(name, |b| b.iter(body));
+    }
+    for fig in &SWEEPS {
+        // The small fabric at [`bench_scale`], on all of this host's cores.
+        let (cfg, scale) = ((fig.config)(LeafSpineConfig::small()), bench_scale());
+        c.bench_function(fig.name, |b| {
+            b.iter(|| {
+                let res = run_schemes_with_threads(&cfg, &scale, &cfg.schemes(), default_threads());
+                assert!(!res.cells.is_empty());
+                res
+            })
+        });
     }
     // Fig. 4's sampling throughput.
     let cdf = Workload::WebSearch.cdf();

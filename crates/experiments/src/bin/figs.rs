@@ -15,79 +15,76 @@
 //!   figs scenario <id> [--quick] [--trace-out F]
 //!                                  run one named scenario
 //!   figs fuzz [--seeds N]          run the seeded scenario fuzzer
-//!                                  (TCN_FUZZ_SEEDS / TCN_FUZZ_STEP_BUDGET)
 //!
-//! Figure flags (`--quick|--medium|--full`, `--flows N`, `--seed N`,
-//! `--json`, …) are read by the figure entries themselves and work
-//! exactly as they did when each figure was its own binary.
+//! Flags and `TCN_*` variables are parsed once, here, into a
+//! [`RunOptions`] that every command takes as an argument; anything
+//! unknown or malformed exits 2 before a simulation starts.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
+use std::path::Path;
 
-use tcn_experiments::common::{maybe_write_json, Scale};
-use tcn_experiments::fct_sweep::{self, SweepConfig};
+use tcn_experiments::fct_sweep;
 use tcn_experiments::figs;
+use tcn_experiments::options::RunOptions;
 use tcn_experiments::scenario;
 use tcn_experiments::trace::{validate_trace, JsonlSink};
-use tcn_net::LeafSpineConfig;
 use tcn_sim::Time;
 use tcn_stats::TelemetrySummary;
 use tcn_telemetry::Telemetry;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: figs <figure|all|list|trace|check-trace|scenario|fuzz> [flags]\n       figs list  # figure names\n       figs scenario list  # chaos scenario names"
-    );
+fn usage(line: &str) -> ! {
+    eprintln!("usage: {line}");
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    match cmd.as_str() {
-        "list" => {
+    let (opts, words) = RunOptions::parse(&args, |name| std::env::var(name).ok())
+        .unwrap_or_else(|e| {
+            eprintln!("figs: {e}");
+            std::process::exit(2);
+        });
+    let words: Vec<&str> = words.iter().map(String::as_str).collect();
+    match words.as_slice() {
+        ["list"] => {
             for f in figs::FIGURES {
                 println!("{:<10} {}", f.name, f.about);
             }
         }
-        "all" => run_all(&args[1..]),
-        "trace" => run_trace(&args[1..]),
-        "check-trace" => check_trace(&args[1..]),
-        "scenario" => run_scenario_cmd(&args[1..]),
-        "fuzz" => run_fuzz_cmd(&args[1..]),
-        name => match figs::find(name) {
-            Some(f) => (f.run)(),
+        ["all"] => run_all(&opts),
+        ["trace", name] => run_trace(name, &opts),
+        ["trace", ..] => usage("figs trace <fig6..fig13> --out <file.jsonl> [scale flags]"),
+        ["check-trace", path] => check_trace(path),
+        ["check-trace", ..] => usage("figs check-trace <file.jsonl>"),
+        ["scenario", sub] => run_scenario_cmd(sub, &opts),
+        ["scenario", ..] => {
+            usage("figs scenario <list|all|id> [--tag T] [--quick] [--trace-out F]")
+        }
+        ["fuzz"] => run_fuzz_cmd(&opts),
+        [name] => match figs::find(name) {
+            Some(f) => (f.run)(&opts),
             None => {
                 eprintln!("unknown figure {name:?} — `figs list` shows the menu");
                 std::process::exit(2);
             }
         },
+        _ => usage(
+            "figs <figure|all|list|trace|check-trace|scenario|fuzz> [flags]\n       figs list  # figure names\n       figs scenario list  # chaos scenario names",
+        ),
     }
 }
 
-fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(String::as_str)
-}
-
-fn run_scenario_cmd(rest: &[String]) {
-    let Some(sub) = rest.first() else {
-        eprintln!("usage: figs scenario <list|all|id> [--tag T] [--quick] [--trace-out F]");
-        std::process::exit(2);
-    };
-    let quick = rest.iter().any(|a| a == "--quick");
-    match sub.as_str() {
+fn run_scenario_cmd(sub: &str, opts: &RunOptions) {
+    let quick = opts.quick();
+    match sub {
         "list" => {
-            let tag = flag_value(rest, "--tag");
             for named in scenario::LIBRARY {
                 let sc = scenario::load(named.id).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(1);
                 });
-                if let Some(t) = tag {
+                if let Some(t) = &opts.tag {
                     if !sc.tags.iter().any(|x| x == t) {
                         continue;
                     }
@@ -96,23 +93,18 @@ fn run_scenario_cmd(rest: &[String]) {
             }
         }
         "all" => {
-            let checkpoint = std::env::var("TCN_CHECKPOINT").ok().map(PathBuf::from);
-            let batch = scenario::run_library(
-                quick,
-                tcn_experiments::runner::default_threads(),
-                checkpoint.as_deref(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("scenario batch: {e}");
-                std::process::exit(1);
-            });
+            let batch = scenario::run_library(quick, opts.threads(), opts.checkpoint.as_deref())
+                .unwrap_or_else(|e| {
+                    eprintln!("scenario batch: {e}");
+                    std::process::exit(1);
+                });
             for r in &batch.reports {
                 println!(
                     "{:<24} {}/{} flows, {} steps applied, drops {}, marks {}, avg {:.0} us",
                     r.id, r.completed, r.flows, r.reconfigs.len(), r.drops, r.marks, r.avg_fct_us
                 );
             }
-            maybe_write_json("scenario_all", &batch.reports);
+            opts.write_json("scenario_all", &batch.reports);
             if !batch.failures.is_empty() {
                 eprintln!("{}/{} scenarios FAILED:", batch.failures.len(), scenario::LIBRARY.len());
                 for (id, error) in &batch.failures {
@@ -140,17 +132,13 @@ fn run_scenario_cmd(rest: &[String]) {
                 eprintln!("{e}");
                 std::process::exit(1);
             });
-            let result = match flag_value(rest, "--trace-out") {
+            let result = match &opts.trace_out {
                 Some(out_path) => {
-                    let file = File::create(out_path).unwrap_or_else(|e| {
-                        eprintln!("create {out_path}: {e}");
-                        std::process::exit(1);
-                    });
                     let bus = Telemetry::new();
-                    bus.add_sink(Box::new(JsonlSink::new(BufWriter::new(file))));
+                    bus.add_sink(Box::new(JsonlSink::new(create(out_path))));
                     let r = scenario::engine::run_scenario_traced(&sc, quick, &bus);
                     if r.is_ok() {
-                        println!("trace written to {out_path}");
+                        println!("trace written to {}", out_path.display());
                     }
                     r
                 }
@@ -179,7 +167,7 @@ fn run_scenario_cmd(rest: &[String]) {
                             println!("    {line}");
                         }
                     }
-                    maybe_write_json(&format!("scenario_{}", report.id), &report);
+                    opts.write_json(&format!("scenario_{}", report.id), &report);
                 }
                 Err(e) => {
                     eprintln!("scenario {id}: {e}");
@@ -190,16 +178,12 @@ fn run_scenario_cmd(rest: &[String]) {
     }
 }
 
-fn run_fuzz_cmd(rest: &[String]) {
-    let seeds = flag_value(rest, "--seeds")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(16);
-    let opts = scenario::FuzzOpts::new(seeds).from_env();
-    let report = scenario::run_fuzz(&opts);
+fn run_fuzz_cmd(opts: &RunOptions) {
+    let report = scenario::run_fuzz(&opts.fuzz());
     for line in &report.lines {
         println!("{line}");
     }
-    maybe_write_json("fuzz", &report);
+    opts.write_json("fuzz", &report);
     if report.failures.is_empty() {
         println!("fuzz: {} seeds, zero violations", report.seeds);
     } else {
@@ -208,17 +192,8 @@ fn run_fuzz_cmd(rest: &[String]) {
     }
 }
 
-fn run_all(rest: &[String]) {
-    if let Some(i) = rest.iter().position(|a| a == "--threads") {
-        let Some(t) = rest.get(i + 1) else {
-            eprintln!("--threads needs a value");
-            std::process::exit(2);
-        };
-        // The sweeps' parallel cell runner reads TCN_THREADS; output is
-        // byte-identical at any value.
-        std::env::set_var("TCN_THREADS", t);
-    }
-    let failures = figs::run_all();
+fn run_all(opts: &RunOptions) {
+    let failures = figs::run_all(opts);
     if !failures.is_empty() {
         eprintln!("{}/{} figures FAILED:", failures.len(), figs::FIGURES.len());
         for f in &failures {
@@ -228,51 +203,31 @@ fn run_all(rest: &[String]) {
     }
 }
 
-/// The sweep configuration behind a `figs trace` target.
-fn sweep_config(name: &str) -> Option<SweepConfig> {
-    let small = LeafSpineConfig::small;
-    Some(match name {
-        "fig6" => SweepConfig::fig6(),
-        "fig7" => SweepConfig::fig7(),
-        "fig8" => SweepConfig::fig8(),
-        "fig9" => SweepConfig::fig9(),
-        "fig10" => SweepConfig::fig10(small()),
-        "fig11" => SweepConfig::fig11(small()),
-        "fig12" => SweepConfig::fig12(small()),
-        "fig13" => SweepConfig::fig13(small()),
-        _ => return None,
-    })
+/// Create `path` for a trace writer, or report and exit 1.
+fn create(path: &Path) -> BufWriter<File> {
+    BufWriter::new(File::create(path).unwrap_or_else(|e| {
+        eprintln!("create {}: {e}", path.display());
+        std::process::exit(1);
+    }))
 }
 
-fn run_trace(rest: &[String]) {
-    let Some(name) = rest.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: figs trace <fig6..fig13> --out <file.jsonl> [scale flags]");
-        std::process::exit(2);
-    };
-    let Some(cfg) = sweep_config(name) else {
+fn run_trace(name: &str, opts: &RunOptions) {
+    let Some(fig) = figs::find_sweep(name) else {
         eprintln!("figs trace supports the FCT sweeps (fig6..fig13), not {name:?}");
         std::process::exit(2);
     };
-    let Some(out_path) = rest
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| rest.get(i + 1))
-    else {
+    let Some(out_path) = &opts.out else {
         eprintln!("figs trace needs --out <file.jsonl>");
         std::process::exit(2);
     };
-    let scale = Scale::from_args(matches!(name.as_str(), "fig6" | "fig7" | "fig8" | "fig9"));
+    let (cfg, scale) = fig.resolve(opts);
     // One representative cell: the paper's scheme at the highest load.
     let scheme = cfg.schemes()[0];
     let load = *scale.loads.last().expect("scale has loads");
 
-    let file = File::create(out_path).unwrap_or_else(|e| {
-        eprintln!("create {out_path}: {e}");
-        std::process::exit(1);
-    });
     let bus = Telemetry::new();
     let summary = TelemetrySummary::new(Time::from_ms(1));
-    bus.add_sink(Box::new(JsonlSink::new(BufWriter::new(file))));
+    bus.add_sink(Box::new(JsonlSink::new(create(out_path))));
     bus.add_sink(Box::new(summary.handle()));
     let cell = fct_sweep::run_cell_traced(&cfg, &scale, scheme, load, &bus);
 
@@ -305,14 +260,10 @@ fn run_trace(rest: &[String]) {
             q.max_ps as f64 / 1e6,
         );
     }
-    println!("\ntrace written to {out_path}");
+    println!("\ntrace written to {}", out_path.display());
 }
 
-fn check_trace(rest: &[String]) {
-    let Some(path) = rest.first() else {
-        eprintln!("usage: figs check-trace <file.jsonl>");
-        std::process::exit(2);
-    };
+fn check_trace(path: &str) {
     let file = File::open(path).unwrap_or_else(|e| {
         eprintln!("open {path}: {e}");
         std::process::exit(1);

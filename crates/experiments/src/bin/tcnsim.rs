@@ -7,6 +7,7 @@
 
 use tcn_experiments::config::{example_json, ExperimentCfg};
 use tcn_experiments::json::ToJson;
+use tcn_experiments::options::RunOptions;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -14,7 +15,12 @@ fn main() {
         println!("{}", example_json());
         return;
     }
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
+    let (opts, words) = RunOptions::parse(&args, |name| std::env::var(name).ok())
+        .unwrap_or_else(|e| {
+            eprintln!("tcnsim: {e}");
+            std::process::exit(2);
+        });
+    let [path] = words.as_slice() else {
         eprintln!("usage: tcnsim <config.json> [--json] | tcnsim --example");
         std::process::exit(2);
     };
@@ -23,7 +29,7 @@ fn main() {
         std::process::exit(1);
     });
     let cfg = ExperimentCfg::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("parse {path}: {e}");
+        eprintln!("{path}: {e}");
         std::process::exit(1);
     });
     let t0 = std::time::Instant::now(); // lint:allow(no-wallclock): CLI convenience — reports elapsed wall time, never feeds the sim
@@ -43,7 +49,7 @@ fn main() {
         report.events,
         t0.elapsed().as_secs_f64()
     );
-    if args.iter().any(|a| a == "--json") {
+    if opts.json {
         println!("{}", report.to_json().pretty());
     }
 }

@@ -15,6 +15,7 @@
 //!    the zero-fault cell matches a run with no fault plan installed.
 
 use crate::common::{params, switch_port, Scale, SchedKind, Scheme};
+use crate::fct_sweep::SweepOpts;
 use crate::impl_to_json;
 use crate::runner::{quarantine, run_cell_outcomes_with, CellOutcome};
 use tcn_core::TcnError;
@@ -301,13 +302,11 @@ fn run_cell(
 /// fan out over [`crate::runner`]'s deterministic pool; the canonical
 /// scheme-major merge keeps output identical at any thread count.
 ///
-/// Every cell runs under panic isolation with the environment-driven
-/// retry budget and stall watchdog (`TCN_RETRY_ATTEMPTS`,
-/// `TCN_STALL_BUDGET`, `TCN_EVENT_BUDGET` — see
-/// [`crate::fct_sweep::SweepOpts::from_env`]); a cell that fails every
-/// attempt lands in [`ChaosResult::quarantined`] while the rest of the
-/// grid completes.
-pub fn run(cc: &ChaosConfig, scale: &Scale) -> ChaosResult {
+/// Every cell runs under panic isolation with `opts`' worker count,
+/// retry budget and stall watchdog; a cell that fails every attempt
+/// lands in [`ChaosResult::quarantined`] while the rest of the grid
+/// completes.
+pub fn run(cc: &ChaosConfig, scale: &Scale, opts: &SweepOpts) -> ChaosResult {
     let flaps: &[bool] = if cc.with_flap {
         &[false, true]
     } else {
@@ -322,7 +321,6 @@ pub fn run(cc: &ChaosConfig, scale: &Scale) -> ChaosResult {
             })
         })
         .collect();
-    let opts = crate::fct_sweep::SweepOpts::from_env();
     let outcomes = run_cell_outcomes_with(opts.threads, grid.len(), opts.attempts, |i, _attempt| {
         let (scheme, loss, flap) = grid[i];
         run_cell(cc, scheme, loss, flap, scale, opts.watchdog.as_ref())
@@ -424,7 +422,7 @@ mod tests {
     #[test]
     fn every_flow_recovers_in_every_cell() {
         let cc = tiny_cfg();
-        let res = run(&cc, &tiny_scale());
+        let res = run(&cc, &tiny_scale(), &SweepOpts::default());
         assert_eq!(res.cells.len(), 3 * 2 * 2);
         for c in &res.cells {
             assert_eq!(

@@ -113,7 +113,7 @@ impl Checkpoint {
 }
 
 /// Replay checkpoint text; `None` means incompatible → start fresh.
-fn parse_done(text: &str, config_hash: u64, cells: usize) -> Option<DoneCells> {
+pub fn parse_done(text: &str, config_hash: u64, cells: usize) -> Option<DoneCells> {
     let mut lines = text.lines();
     let header = Json::parse(lines.next()?).ok()?;
     if header.kind().ok()? != "header"

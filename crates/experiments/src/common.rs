@@ -47,52 +47,6 @@ impl Scale {
             seed: 1,
         }
     }
-
-    /// Parse `--full`/`--medium`/`--quick` style argv (defaults to
-    /// quick; `--flows N` and `--seed N` override).
-    pub fn from_args(testbed: bool) -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if args.iter().any(|a| a == "--full") {
-            Scale::full(testbed)
-        } else if args.iter().any(|a| a == "--medium") {
-            Scale::medium()
-        } else {
-            Scale::quick()
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--flows" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        scale.flows = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        scale.seed = v;
-                    }
-                }
-                "--loads" => {
-                    if let Some(spec) = it.next() {
-                        let loads: Vec<f64> =
-                            spec.split(',').filter_map(|s| s.parse().ok()).collect();
-                        if !loads.is_empty() {
-                            // The binary runs once; leaking the parsed
-                            // list keeps Scale a plain Copy struct.
-                            scale.loads = Box::leak(loads.into_boxed_slice());
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        scale
-    }
-}
-
-/// Whether `--json` was passed (binaries then print raw JSON results).
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
 }
 
 /// The ECN marking schemes under evaluation (paper §6 "Schemes
@@ -360,42 +314,6 @@ pub mod params {
         pub const PIAS_THRESH: u64 = 100_000;
         /// DWRR quantum (1.5 KB).
         pub const QUANTUM: u64 = 1_500;
-    }
-}
-
-/// Write a JSON result file under `results/` when `--json` was passed.
-/// Prints the path on success; failures are reported, not fatal (the
-/// table on stdout is the primary output).
-pub fn maybe_write_json<T: crate::json::ToJson>(name: &str, value: &T) {
-    if !json_requested() {
-        return;
-    }
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("results dir: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, value.to_json().pretty()) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("write {}: {e}", path.display()),
-    }
-}
-
-/// Write an SVG chart under `results/` when `--svg` was passed.
-pub fn maybe_write_svg(name: &str, svg: &str) {
-    if !std::env::args().any(|a| a == "--svg") {
-        return;
-    }
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("results dir: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.svg"));
-    match std::fs::write(&path, svg) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("write {}: {e}", path.display()),
     }
 }
 

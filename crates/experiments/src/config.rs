@@ -75,8 +75,8 @@ impl TopologyCfg {
                 leaves,
                 hosts_per_leaf,
                 ..
-            } => leaves * hosts_per_leaf,
-            TopologyCfg::FatTree { k, .. } => k * k * k / 4,
+            } => leaves.saturating_mul(hosts_per_leaf),
+            TopologyCfg::FatTree { k, .. } => k.saturating_pow(3) / 4,
         }
     }
 
@@ -88,48 +88,6 @@ impl TopologyCfg {
             TopologyCfg::FatTree { rate_gbps, .. } => rate_gbps,
         };
         Rate::from_gbps(gbps)
-    }
-}
-
-/// Scheduler description.
-#[derive(Debug, Clone)]
-pub enum SchedulerCfg {
-    /// Single FIFO.
-    Fifo,
-    /// Strict priority.
-    Sp,
-    /// Equal-weight WRR.
-    Wrr,
-    /// Equal-quantum DWRR.
-    Dwrr {
-        /// Quantum in bytes.
-        quantum: u64,
-    },
-    /// Equal-weight WFQ.
-    Wfq,
-    /// 1 strict queue + DWRR below.
-    SpDwrr {
-        /// Quantum in bytes.
-        quantum: u64,
-    },
-    /// 1 strict queue + WFQ below.
-    SpWfq,
-    /// PIFO with equal-weight STFQ ranks.
-    PifoStfq,
-}
-
-impl SchedulerCfg {
-    fn kind(&self) -> SchedKind {
-        match *self {
-            SchedulerCfg::Fifo => SchedKind::Fifo,
-            SchedulerCfg::Sp => SchedKind::Sp,
-            SchedulerCfg::Wrr => SchedKind::Wrr,
-            SchedulerCfg::Dwrr { quantum } => SchedKind::Dwrr { quantum },
-            SchedulerCfg::Wfq => SchedKind::Wfq,
-            SchedulerCfg::SpDwrr { quantum } => SchedKind::SpDwrr { quantum },
-            SchedulerCfg::SpWfq => SchedKind::SpWfq,
-            SchedulerCfg::PifoStfq => SchedKind::PifoStfq,
-        }
     }
 }
 
@@ -220,7 +178,7 @@ pub struct PortCfg {
     /// Shared buffer per port in bytes.
     pub buffer_bytes: u64,
     /// Scheduler.
-    pub scheduler: SchedulerCfg,
+    pub scheduler: SchedKind,
     /// AQM.
     pub aqm: AqmCfg,
 }
@@ -236,18 +194,6 @@ pub enum TransportCfg {
     TestbedDctcp,
 }
 
-/// DSCP tagging.
-#[derive(Debug, Clone, Copy)]
-pub enum TaggingCfg {
-    /// dscp = service.
-    Fixed,
-    /// PIAS two-priority.
-    Pias {
-        /// Demotion threshold in bytes.
-        threshold: u64,
-    },
-}
-
 /// Workload description.
 #[derive(Debug, Clone)]
 pub enum WorkloadCfg {
@@ -258,7 +204,7 @@ pub enum WorkloadCfg {
         /// Offered load of the receiver link.
         load: f64,
         /// Flow-size distribution.
-        cdf: WorkloadName,
+        cdf: Workload,
         /// Receiving host (all others send).
         receiver: u32,
         /// Service classes to draw from.
@@ -285,30 +231,6 @@ pub enum WorkloadCfg {
         /// Receiving host.
         receiver: u32,
     },
-}
-
-/// Named workload CDF.
-#[derive(Debug, Clone, Copy)]
-pub enum WorkloadName {
-    /// DCTCP web search.
-    WebSearch,
-    /// VL2 data mining.
-    DataMining,
-    /// Facebook Hadoop.
-    Hadoop,
-    /// Facebook cache.
-    Cache,
-}
-
-impl WorkloadName {
-    fn workload(self) -> Workload {
-        match self {
-            WorkloadName::WebSearch => Workload::WebSearch,
-            WorkloadName::DataMining => Workload::DataMining,
-            WorkloadName::Hadoop => Workload::Hadoop,
-            WorkloadName::Cache => Workload::Cache,
-        }
-    }
 }
 
 /// One scheduled link flap (times in µs; `up_at_us` absent = stays
@@ -381,7 +303,7 @@ pub struct ExperimentCfg {
     /// Transport.
     pub transport: TransportCfg,
     /// DSCP tagging.
-    pub tagging: TaggingCfg,
+    pub tagging: TaggingPolicy,
     /// Workload.
     pub workload: WorkloadCfg,
     /// Fault injection (absent = healthy fabric).
@@ -436,6 +358,21 @@ impl_to_json!(RunReport {
 // The wire format is unchanged: tagged objects (`"kind"`) with
 // snake_case tags and field names.
 
+/// Optional microsecond field of an object, small enough for the
+/// picosecond clock (`Time::from_us` multiplies unchecked).
+fn opt_us_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    let Some(x) = v.get(key) else { return Ok(None) };
+    x.as_u64()
+        .filter(|us| us.checked_mul(1_000_000).is_some())
+        .map(Some)
+        .ok_or_else(|| format!("field `{key}` must be a whole number of µs inside the picosecond clock"))
+}
+
+/// Required microsecond field of an object.
+fn us_field(v: &Json, key: &str) -> Result<u64, String> {
+    opt_us_field(v, key)?.ok_or_else(|| format!("missing field `{key}`"))
+}
+
 fn unknown(what: &str, got: &str, expect: &[&str]) -> String {
     format!("unknown {what} `{got}` (expected one of: {})", expect.join(", "))
 }
@@ -446,7 +383,7 @@ impl TopologyCfg {
             "single_switch" => Ok(TopologyCfg::SingleSwitch {
                 hosts: v.u64_field("hosts")? as usize,
                 rate_gbps: v.u64_field("rate_gbps")?,
-                delay_us: v.u64_field("delay_us")?,
+                delay_us: us_field(v, "delay_us")?,
             }),
             "leaf_spine" => Ok(TopologyCfg::LeafSpine {
                 leaves: v.u64_field("leaves")? as usize,
@@ -501,48 +438,48 @@ impl ToJson for TopologyCfg {
     }
 }
 
-impl SchedulerCfg {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.kind().map_err(|e| format!("scheduler: {e}"))? {
-            "fifo" => Ok(SchedulerCfg::Fifo),
-            "sp" => Ok(SchedulerCfg::Sp),
-            "wrr" => Ok(SchedulerCfg::Wrr),
-            "dwrr" => Ok(SchedulerCfg::Dwrr {
-                quantum: v.u64_field("quantum")?,
-            }),
-            "wfq" => Ok(SchedulerCfg::Wfq),
-            "sp_dwrr" => Ok(SchedulerCfg::SpDwrr {
-                quantum: v.u64_field("quantum")?,
-            }),
-            "sp_wfq" => Ok(SchedulerCfg::SpWfq),
-            "pifo_stfq" => Ok(SchedulerCfg::PifoStfq),
-            other => Err(unknown(
-                "scheduler kind",
-                other,
-                &["fifo", "sp", "wrr", "dwrr", "wfq", "sp_dwrr", "sp_wfq", "pifo_stfq"],
-            )),
-        }
+fn sched_from_json(v: &Json) -> Result<SchedKind, String> {
+    match v.kind().map_err(|e| format!("scheduler: {e}"))? {
+        "fifo" => Ok(SchedKind::Fifo),
+        "sp" => Ok(SchedKind::Sp),
+        "wrr" => Ok(SchedKind::Wrr),
+        "dwrr" => Ok(SchedKind::Dwrr {
+            quantum: v.u64_field("quantum")?,
+        }),
+        "wfq" => Ok(SchedKind::Wfq),
+        "sp_dwrr" => Ok(SchedKind::SpDwrr {
+            quantum: v.u64_field("quantum")?,
+        }),
+        "sp_wfq" => Ok(SchedKind::SpWfq),
+        "pifo_stfq" => Ok(SchedKind::PifoStfq),
+        other => Err(unknown(
+            "scheduler kind",
+            other,
+            &["fifo", "sp", "wrr", "dwrr", "wfq", "sp_dwrr", "sp_wfq", "pifo_stfq"],
+        )),
     }
 }
 
-impl ToJson for SchedulerCfg {
+impl ToJson for SchedKind {
     fn to_json(&self) -> Json {
-        match *self {
-            SchedulerCfg::Fifo => Json::obj(vec![("kind", "fifo".to_json())]),
-            SchedulerCfg::Sp => Json::obj(vec![("kind", "sp".to_json())]),
-            SchedulerCfg::Wrr => Json::obj(vec![("kind", "wrr".to_json())]),
-            SchedulerCfg::Dwrr { quantum } => Json::obj(vec![
-                ("kind", "dwrr".to_json()),
-                ("quantum", quantum.to_json()),
-            ]),
-            SchedulerCfg::Wfq => Json::obj(vec![("kind", "wfq".to_json())]),
-            SchedulerCfg::SpDwrr { quantum } => Json::obj(vec![
-                ("kind", "sp_dwrr".to_json()),
-                ("quantum", quantum.to_json()),
-            ]),
-            SchedulerCfg::SpWfq => Json::obj(vec![("kind", "sp_wfq".to_json())]),
-            SchedulerCfg::PifoStfq => Json::obj(vec![("kind", "pifo_stfq".to_json())]),
+        let (kind, quantum) = match *self {
+            SchedKind::Fifo => ("fifo", None),
+            SchedKind::Sp => ("sp", None),
+            SchedKind::Wrr => ("wrr", None),
+            SchedKind::Dwrr { quantum } => ("dwrr", Some(quantum)),
+            SchedKind::Wfq => ("wfq", None),
+            SchedKind::SpDwrr { quantum } => ("sp_dwrr", Some(quantum)),
+            SchedKind::SpWfq => ("sp_wfq", None),
+            SchedKind::PifoStfq => ("pifo_stfq", None),
+            // The demo's fixed-weight preset is not part of the config
+            // format: it prints, and reading it back is an unknown kind.
+            SchedKind::PifoStfq4211 => ("pifo_stfq_4211", None),
+        };
+        let mut fields = vec![("kind", kind.to_json())];
+        if let Some(q) = quantum {
+            fields.push(("quantum", q.to_json()));
         }
+        Json::obj(fields)
     }
 }
 
@@ -550,19 +487,19 @@ impl AqmCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v.kind().map_err(|e| format!("aqm: {e}"))? {
             "tcn" => Ok(AqmCfg::Tcn {
-                threshold_us: v.u64_field("threshold_us")?,
+                threshold_us: us_field(v, "threshold_us")?,
             }),
             "tcn_prob" => Ok(AqmCfg::TcnProb {
-                t_min_us: v.u64_field("t_min_us")?,
-                t_max_us: v.u64_field("t_max_us")?,
+                t_min_us: us_field(v, "t_min_us")?,
+                t_max_us: us_field(v, "t_max_us")?,
                 p_max: v.f64_field("p_max")?,
             }),
             "codel" => Ok(AqmCfg::Codel {
-                target_us: v.u64_field("target_us")?,
-                interval_us: v.u64_field("interval_us")?,
+                target_us: us_field(v, "target_us")?,
+                interval_us: us_field(v, "interval_us")?,
             }),
             "mq_ecn" => Ok(AqmCfg::MqEcn {
-                rtt_lambda_us: v.u64_field("rtt_lambda_us")?,
+                rtt_lambda_us: us_field(v, "rtt_lambda_us")?,
             }),
             "red_queue" => Ok(AqmCfg::RedQueue {
                 threshold_bytes: v.u64_field("threshold_bytes")?,
@@ -627,7 +564,7 @@ impl PortCfg {
         Ok(PortCfg {
             queues: v.u64_field("queues")? as usize,
             buffer_bytes: v.u64_field("buffer_bytes")?,
-            scheduler: SchedulerCfg::from_json(
+            scheduler: sched_from_json(
                 v.get("scheduler").ok_or("port: missing field `scheduler`")?,
             )?,
             aqm: AqmCfg::from_json(v.get("aqm").ok_or("port: missing field `aqm`")?)?,
@@ -671,23 +608,21 @@ impl ToJson for TransportCfg {
     }
 }
 
-impl TaggingCfg {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.kind().map_err(|e| format!("tagging: {e}"))? {
-            "fixed" => Ok(TaggingCfg::Fixed),
-            "pias" => Ok(TaggingCfg::Pias {
-                threshold: v.u64_field("threshold")?,
-            }),
-            other => Err(unknown("tagging kind", other, &["fixed", "pias"])),
-        }
+fn tagging_from_json(v: &Json) -> Result<TaggingPolicy, String> {
+    match v.kind().map_err(|e| format!("tagging: {e}"))? {
+        "fixed" => Ok(TaggingPolicy::Fixed),
+        "pias" => Ok(TaggingPolicy::Pias {
+            threshold: v.u64_field("threshold")?,
+        }),
+        other => Err(unknown("tagging kind", other, &["fixed", "pias"])),
     }
 }
 
-impl ToJson for TaggingCfg {
+impl ToJson for TaggingPolicy {
     fn to_json(&self) -> Json {
         match *self {
-            TaggingCfg::Fixed => Json::obj(vec![("kind", "fixed".to_json())]),
-            TaggingCfg::Pias { threshold } => Json::obj(vec![
+            TaggingPolicy::Fixed => Json::obj(vec![("kind", "fixed".to_json())]),
+            TaggingPolicy::Pias { threshold } => Json::obj(vec![
                 ("kind", "pias".to_json()),
                 ("threshold", threshold.to_json()),
             ]),
@@ -695,30 +630,27 @@ impl ToJson for TaggingCfg {
     }
 }
 
-impl WorkloadName {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str().ok_or("cdf must be a string")? {
-            "web_search" => Ok(WorkloadName::WebSearch),
-            "data_mining" => Ok(WorkloadName::DataMining),
-            "hadoop" => Ok(WorkloadName::Hadoop),
-            "cache" => Ok(WorkloadName::Cache),
-            other => Err(unknown(
-                "workload cdf",
-                other,
-                &["web_search", "data_mining", "hadoop", "cache"],
-            )),
-        }
+/// A workload CDF's name in the config format.
+fn cdf_name(w: Workload) -> &'static str {
+    match w {
+        Workload::WebSearch => "web_search",
+        Workload::DataMining => "data_mining",
+        Workload::Hadoop => "hadoop",
+        Workload::Cache => "cache",
     }
 }
 
-impl ToJson for WorkloadName {
+fn cdf_from_json(v: &Json) -> Result<Workload, String> {
+    let name = v.as_str().ok_or("cdf must be a string")?;
+    Workload::ALL
+        .into_iter()
+        .find(|&w| cdf_name(w) == name)
+        .ok_or_else(|| unknown("workload cdf", name, &Workload::ALL.map(cdf_name)))
+}
+
+impl ToJson for Workload {
     fn to_json(&self) -> Json {
-        match self {
-            WorkloadName::WebSearch => "web_search".to_json(),
-            WorkloadName::DataMining => "data_mining".to_json(),
-            WorkloadName::Hadoop => "hadoop".to_json(),
-            WorkloadName::Cache => "cache".to_json(),
-        }
+        cdf_name(*self).to_json()
     }
 }
 
@@ -742,7 +674,7 @@ impl WorkloadCfg {
                 Ok(WorkloadCfg::ManyToOne {
                     flows: v.u64_field("flows")? as usize,
                     load: v.f64_field("load")?,
-                    cdf: WorkloadName::from_json(v.get("cdf").ok_or("workload: missing field `cdf`")?)?,
+                    cdf: cdf_from_json(v.get("cdf").ok_or("workload: missing field `cdf`")?)?,
                     receiver: v.u64_field("receiver")? as u32,
                     services,
                 })
@@ -814,14 +746,8 @@ impl FlapCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(FlapCfg {
             link: v.u64_field("link")? as u32,
-            down_at_us: v.u64_field("down_at_us")?,
-            up_at_us: match v.get("up_at_us") {
-                Some(u) => Some(
-                    u.as_u64()
-                        .ok_or("faults: `up_at_us` must be a non-negative integer")?,
-                ),
-                None => None,
-            },
+            down_at_us: us_field(v, "down_at_us")?,
+            up_at_us: opt_us_field(v, "up_at_us")?,
         })
     }
 }
@@ -849,14 +775,6 @@ impl FaultsCfg {
                 None => Ok(0.0),
             }
         };
-        let opt_u64 = |key: &str| -> Result<u64, String> {
-            match v.get(key) {
-                Some(x) => x
-                    .as_u64()
-                    .ok_or_else(|| format!("faults: `{key}` must be a non-negative integer")),
-                None => Ok(0),
-            }
-        };
         let flaps = match v.get("flaps") {
             Some(a) => a
                 .as_arr()
@@ -870,8 +788,8 @@ impl FaultsCfg {
             loss: opt_f64("loss")?,
             corrupt: opt_f64("corrupt")?,
             jitter_prob: opt_f64("jitter_prob")?,
-            jitter_max_us: opt_u64("jitter_max_us")?,
-            detection_delay_us: opt_u64("detection_delay_us")?,
+            jitter_max_us: opt_us_field(v, "jitter_max_us")?.unwrap_or(0),
+            detection_delay_us: opt_us_field(v, "detection_delay_us")?.unwrap_or(0),
             flaps,
         })
     }
@@ -908,9 +826,21 @@ impl ToJson for ExperimentCfg {
 }
 
 impl ExperimentCfg {
-    /// Parse from JSON.
+    /// Parse from JSON and validate: every value the simulator crates
+    /// would reject with an assertion (or silently run nonsense on) is
+    /// an error here.
+    ///
+    /// # Errors
+    /// `line:col: message` for malformed JSON, otherwise
+    /// `invalid configuration: <field>: <what is wrong>`.
     pub fn from_json(s: &str) -> Result<Self, String> {
         let v = Json::parse(s)?;
+        Self::from_value(&v)
+            .and_then(|cfg| cfg.validate().map(|()| cfg))
+            .map_err(|e| format!("invalid configuration: {e}"))
+    }
+
+    fn from_value(v: &Json) -> Result<Self, String> {
         Ok(ExperimentCfg {
             topology: TopologyCfg::from_json(
                 v.get("topology").ok_or("missing field `topology`")?,
@@ -919,7 +849,7 @@ impl ExperimentCfg {
             transport: TransportCfg::from_json(
                 v.get("transport").ok_or("missing field `transport`")?,
             )?,
-            tagging: TaggingCfg::from_json(v.get("tagging").ok_or("missing field `tagging`")?)?,
+            tagging: tagging_from_json(v.get("tagging").ok_or("missing field `tagging`")?)?,
             workload: WorkloadCfg::from_json(
                 v.get("workload").ok_or("missing field `workload`")?,
             )?,
@@ -934,6 +864,61 @@ impl ExperimentCfg {
         })
     }
 
+    /// Check the values against each other and against what the
+    /// simulator crates assert.
+    fn validate(&self) -> Result<(), String> {
+        let ensure = |ok: bool, problem: String| if ok { Ok(()) } else { Err(problem) };
+        let (TopologyCfg::SingleSwitch { rate_gbps, .. }
+        | TopologyCfg::LeafSpine { rate_gbps, .. }
+        | TopologyCfg::FatTree { rate_gbps, .. }) = self.topology;
+        ensure(
+            rate_gbps > 0 && rate_gbps.checked_mul(1_000_000_000).is_some(),
+            format!("topology.rate_gbps: {rate_gbps} is not a positive rate in range"),
+        )?;
+        let hosts = self.topology.hosts();
+        ensure(hosts >= 2, format!("topology: {hosts} host(s), traffic needs at least 2"))?;
+
+        let sched = self.port.scheduler;
+        let min_queues = if matches!(sched, SchedKind::SpDwrr { .. } | SchedKind::SpWfq) { 2 } else { 1 };
+        ensure(
+            self.port.queues >= min_queues,
+            format!("port.queues: the {} scheduler needs at least {min_queues}", sched.name()),
+        )?;
+        ensure(
+            !matches!(sched, SchedKind::Dwrr { quantum: 0 } | SchedKind::SpDwrr { quantum: 0 }),
+            "port.scheduler.quantum: must be positive".into(),
+        )?;
+        if let AqmCfg::TcnProb { t_min_us, t_max_us, p_max } = self.port.aqm {
+            ensure(
+                t_min_us <= t_max_us,
+                format!("port.aqm.t_min_us: {t_min_us} exceeds t_max_us {t_max_us}"),
+            )?;
+            ensure(p_max > 0.0 && p_max <= 1.0, format!("port.aqm.p_max: {p_max} is not in (0, 1]"))?;
+        }
+
+        let (load, receiver, sources) = match &self.workload {
+            WorkloadCfg::ManyToOne { load, receiver, services, .. } => {
+                (Some(*load), Some(*receiver), ("services", services.len()))
+            }
+            WorkloadCfg::AllToAll { load, services, .. } => {
+                (Some(*load), None, ("services", usize::from(*services)))
+            }
+            WorkloadCfg::Incast { fanout, receiver, .. } => {
+                (None, Some(*receiver), ("fanout", *fanout))
+            }
+        };
+        if let Some(load) = load {
+            ensure(load > 0.0, format!("workload.load: {load} is not a positive number"))?;
+        }
+        if let Some(r) = receiver {
+            ensure(
+                (r as usize) < hosts,
+                format!("workload.receiver: {r} is not one of the {hosts} hosts"),
+            )?;
+        }
+        ensure(sources.1 > 0, format!("workload.{}: needs at least one", sources.0))
+    }
+
     /// Build the simulation and register the workload.
     ///
     /// # Errors
@@ -946,14 +931,11 @@ impl ExperimentCfg {
             TransportCfg::TestbedDctcp => TransportChoice::TestbedDctcp,
         }
         .config();
-        let tagging = match self.tagging {
-            TaggingCfg::Fixed => TaggingPolicy::Fixed,
-            TaggingCfg::Pias { threshold } => TaggingPolicy::Pias { threshold },
-        };
+        let tagging = self.tagging;
         let rate = self.topology.rate();
         let port = self.port.clone();
         let seed = self.seed;
-        let sched = port.scheduler.kind();
+        let sched = port.scheduler;
         let scheme = port.aqm.scheme();
         let mk = move || PortSetup {
             nqueues: port.queues,
@@ -1014,7 +996,7 @@ impl ExperimentCfg {
                     *flows,
                     &senders,
                     *receiver,
-                    &cdf.workload().cdf(),
+                    &cdf.cdf(),
                     *load,
                     rate,
                     services,
@@ -1102,15 +1084,15 @@ pub fn example_json() -> String {
         port: PortCfg {
             queues: 4,
             buffer_bytes: 96_000,
-            scheduler: SchedulerCfg::Dwrr { quantum: 1_500 },
+            scheduler: SchedKind::Dwrr { quantum: 1_500 },
             aqm: AqmCfg::Tcn { threshold_us: 256 },
         },
         transport: TransportCfg::TestbedDctcp,
-        tagging: TaggingCfg::Fixed,
+        tagging: TaggingPolicy::Fixed,
         workload: WorkloadCfg::ManyToOne {
             flows: 1_000,
             load: 0.6,
-            cdf: WorkloadName::WebSearch,
+            cdf: Workload::WebSearch,
             receiver: 8,
             services: vec![0, 1, 2, 3],
         },
@@ -1144,6 +1126,43 @@ mod tests {
         assert!(ExperimentCfg::from_json("{\"topology\":{\"kind\":\"ring\"}}").is_err());
     }
 
+    /// Each single-value edit of the example is an error naming the
+    /// field — every one of these used to reach an `assert!` in a
+    /// simulator crate, or ran a simulation of nothing.
+    #[test]
+    fn single_field_edits_of_the_example_are_field_named_errors() {
+        let tcn = "\"kind\": \"tcn\",\n      \"threshold_us\": 256";
+        let prob = |t_min: u64, p_max: f64| {
+            format!(r#""kind": "tcn_prob", "t_min_us": {t_min}, "t_max_us": 300, "p_max": {p_max}"#)
+        };
+        let edits: Vec<(&str, String, &str)> = vec![
+            ("\"receiver\": 8", "\"receiver\": 99".into(), "workload.receiver"),
+            ("\"queues\": 4", "\"queues\": 0".into(), "port.queues"),
+            ("\"load\": 0.6", "\"load\": 0".into(), "workload.load"),
+            ("\"load\": 0.6", "\"load\": -0.5".into(), "workload.load"),
+            ("\"quantum\": 1500", "\"quantum\": 0".into(), "port.scheduler.quantum"),
+            (tcn, prob(400, 0.5), "port.aqm.t_min_us"),
+            (tcn, prob(100, 0.0), "port.aqm.p_max"),
+            (tcn, prob(100, 1.5), "port.aqm.p_max"),
+            ("\"rate_gbps\": 1", "\"rate_gbps\": 0".into(), "topology.rate_gbps"),
+            ("\"delay_us\": 62", "\"delay_us\": 99999999999999".into(), "field `delay_us`"),
+            ("\"hosts\": 9", "\"hosts\": 1".into(), "topology"),
+            ("0,\n      1,\n      2,\n      3\n    ]", "]".into(), "workload.services"),
+        ];
+        let example = example_json();
+        for (from, to, field) in edits {
+            assert!(example.contains(from), "the example no longer contains `{from}`");
+            let err = ExperimentCfg::from_json(&example.replace(from, &to)).expect_err(&to);
+            assert!(err.starts_with(&format!("invalid configuration: {field}")), "`{to}`: {err}");
+        }
+        // The strict-priority hybrids need a queue below the strict one.
+        let sp = example.replace("\"kind\": \"dwrr\"", "\"kind\": \"sp_dwrr\"");
+        assert!(ExperimentCfg::from_json(&sp).is_ok());
+        let err = ExperimentCfg::from_json(&sp.replace("\"queues\": 4", "\"queues\": 1"));
+        let err = err.expect_err("one queue under sp_dwrr");
+        assert!(err.starts_with("invalid configuration: port.queues"), "{err}");
+    }
+
     #[test]
     fn fat_tree_incast_config_runs() {
         let cfg = ExperimentCfg {
@@ -1151,11 +1170,11 @@ mod tests {
             port: PortCfg {
                 queues: 2,
                 buffer_bytes: 300_000,
-                scheduler: SchedulerCfg::Wfq,
+                scheduler: SchedKind::Wfq,
                 aqm: AqmCfg::Tcn { threshold_us: 78 },
             },
             transport: TransportCfg::SimDctcp,
-            tagging: TaggingCfg::Fixed,
+            tagging: TaggingPolicy::Fixed,
             workload: WorkloadCfg::Incast {
                 fanout: 8,
                 size: 32_000,
@@ -1181,14 +1200,14 @@ mod tests {
             port: PortCfg {
                 queues: 8,
                 buffer_bytes: 300_000,
-                scheduler: SchedulerCfg::SpDwrr { quantum: 1_500 },
+                scheduler: SchedKind::SpDwrr { quantum: 1_500 },
                 aqm: AqmCfg::Codel {
                     target_us: 16,
                     interval_us: 340,
                 },
             },
             transport: TransportCfg::SimEcnStar,
-            tagging: TaggingCfg::Pias { threshold: 100_000 },
+            tagging: TaggingPolicy::Pias { threshold: 100_000 },
             workload: WorkloadCfg::AllToAll {
                 flows: 200,
                 load: 0.5,

@@ -278,7 +278,8 @@ impl SweepResult {
 
 /// Resilience knobs for a sweep run: worker count, bounded retry,
 /// liveness watchdog, checkpoint/resume, and the fault-injection hooks
-/// the CI smoke tests drive.
+/// the CI smoke tests drive. The figures derive theirs from the process
+/// options ([`crate::options::RunOptions::sweep`]).
 #[derive(Debug, Clone)]
 pub struct SweepOpts {
     /// Worker threads.
@@ -317,40 +318,6 @@ impl Default for SweepOpts {
 }
 
 impl SweepOpts {
-    /// Defaults plus the environment knobs the CI harness drives:
-    /// `TCN_RETRY_ATTEMPTS` (max attempts per cell),
-    /// `TCN_STALL_BUDGET` (events per simulated instant; 0 disables the
-    /// watchdog), `TCN_EVENT_BUDGET` (absolute event cap per cell),
-    /// `TCN_CHECKPOINT` (JSONL checkpoint path for kill-and-resume),
-    /// `TCN_ABORT_AFTER_CELLS` (simulated kill for the resume smoke)
-    /// and `TCN_INJECT_PANIC` (grid cell index that panics).
-    pub fn from_env() -> Self {
-        let parse = |name: &str| -> Option<u64> {
-            std::env::var(name).ok()?.trim().parse::<u64>().ok()
-        };
-        let mut opts = SweepOpts::default();
-        if let Some(n) = parse("TCN_RETRY_ATTEMPTS") {
-            opts.attempts = (n as u32).max(1);
-        }
-        let stall = parse("TCN_STALL_BUDGET").unwrap_or(DEFAULT_STALL_BUDGET);
-        opts.watchdog = if stall == 0 {
-            None
-        } else {
-            let wd = Watchdog::new(stall);
-            Some(match parse("TCN_EVENT_BUDGET") {
-                Some(total) if total > 0 => wd.with_total_budget(total),
-                _ => wd,
-            })
-        };
-        opts.checkpoint = std::env::var("TCN_CHECKPOINT")
-            .ok()
-            .filter(|p| !p.trim().is_empty())
-            .map(PathBuf::from);
-        opts.abort_after = parse("TCN_ABORT_AFTER_CELLS").map(|n| n as usize);
-        opts.inject_panic = parse("TCN_INJECT_PANIC").map(|n| n as usize);
-        opts
-    }
-
     /// Same options with the checkpoint path set.
     pub fn with_checkpoint(mut self, path: PathBuf) -> Self {
         self.checkpoint = Some(path);
@@ -452,33 +419,10 @@ pub fn build_cell(
     Ok(sim)
 }
 
-/// Run the full sweep.
-pub fn run(cfg: &SweepConfig, scale: &Scale) -> SweepResult {
-    run_schemes(cfg, scale, &cfg.schemes())
-}
-
-/// Run the sweep for an explicit scheme list (ablations use this).
-///
-/// Cells fan out over [`crate::runner`]'s scoped thread pool: each
-/// (scheme, load) cell is an independent simulation whose `Rng` streams
-/// derive only from `scale.seed` and the load index, so the canonical
-/// scheme-major merge order makes the result identical at any thread
-/// count.
-///
-/// This is the figure-facing entry point, so it honours the full set of
-/// resilience environment knobs ([`SweepOpts::from_env`]): retry budget,
-/// stall/event watchdog, `TCN_CHECKPOINT` kill-and-resume, and the CI
-/// fault-injection hooks.
-pub fn run_schemes(cfg: &SweepConfig, scale: &Scale, schemes: &[Scheme]) -> SweepResult {
-    run_with_opts(cfg, scale, schemes, &SweepOpts::from_env()).expect("sweep harness failed")
-}
-
-/// [`run_schemes`] with an explicit worker count (the determinism tests
-/// pin 1 vs N; everything else should use the default policy).
-///
-/// A convenience wrapper over [`run_with_opts`] that treats setup
-/// failures (broken topology, bad config) as fatal — cell-level faults
-/// still quarantine instead of aborting.
+/// [`run_with_opts`] at the default options with an explicit worker
+/// count (the determinism tests pin 1 vs N), treating setup failures
+/// (broken topology, bad config) as fatal — cell-level faults still
+/// quarantine instead of aborting.
 pub fn run_schemes_with_threads(
     cfg: &SweepConfig,
     scale: &Scale,
@@ -517,9 +461,16 @@ fn config_fingerprint(cfg: &SweepConfig, scale: &Scale, schemes: &[Scheme]) -> u
     ))
 }
 
-/// Run a sweep under the full resilience harness: per-cell panic
-/// isolation, deterministic bounded retry, an optional liveness
-/// watchdog, and JSONL checkpoint/resume. Failed cells land in
+/// Run the sweep for an explicit scheme list (a figure passes
+/// [`SweepConfig::schemes`], ablations their own) under the full
+/// resilience harness: per-cell panic isolation, deterministic bounded
+/// retry, an optional liveness watchdog, and JSONL checkpoint/resume.
+///
+/// Cells fan out over [`crate::runner`]'s scoped thread pool: each
+/// (scheme, load) cell is an independent simulation whose `Rng` streams
+/// derive only from `scale.seed` and the load index, so the canonical
+/// scheme-major merge order makes the result identical at any thread
+/// count. Failed cells land in
 /// [`SweepResult::quarantined`]; only harness-level faults (unwritable
 /// checkpoint, corrupt recorded payload) surface as `Err`.
 ///
@@ -655,6 +606,11 @@ pub fn run_cell_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The figure's own scheme list at the default options.
+    fn run(cfg: &SweepConfig, scale: &Scale) -> SweepResult {
+        run_with_opts(cfg, scale, &cfg.schemes(), &SweepOpts::default()).expect("sweep harness")
+    }
 
     /// The cross-figure shape assertions the paper repeats: TCN's small
     /// flows beat per-queue RED-with-standard-threshold at high load
@@ -814,7 +770,7 @@ mod tests {
         };
         let cfg = SweepConfig::fig6();
         let schemes = cfg.schemes();
-        let plain = run_schemes(&cfg, &scale, &schemes);
+        let plain = run(&cfg, &scale);
         let bus = Telemetry::new();
         let mem = MemorySink::new();
         bus.add_sink(Box::new(mem.handle()));

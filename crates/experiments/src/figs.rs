@@ -1,15 +1,16 @@
 //! The figure registry: every paper artifact as an in-process entry
 //! point, consumed by the single `figs` binary and by `figs all`.
 //!
-//! Historically each figure was its own binary under `src/bin/`; the
-//! seventeen near-identical mains now live here so one `figs`
-//! dispatcher (and the batch/CI paths) call the same code in-process.
-//! Each entry prints exactly the table its standalone binary printed —
-//! flags (`--quick`/`--full`/`--json`/`--trace`…) are still read from
-//! the process arguments, where the dispatcher leaves them untouched.
+//! Each entry prints its table and takes the process options
+//! ([`RunOptions`], parsed once in `bin/figs.rs`) as an argument —
+//! nothing here reads the command line or the environment. Figs. 6–13
+//! are one parameterised sweep: what tells them apart is a row of
+//! [`SWEEPS`], which `figs <name>`, `figs trace <name>` and the
+//! `figures` bench all read.
 
-use crate::common::{maybe_write_json, maybe_write_svg, print_table, sweep_charts, Scale};
-use crate::fct_sweep::{self, SweepConfig};
+use crate::common::{print_table, sweep_charts, Scale};
+use crate::fct_sweep::{self, Environment, SweepConfig};
+use crate::options::RunOptions;
 use tcn_net::LeafSpineConfig;
 use tcn_plot::{LineChart, Series};
 use tcn_sim::Time;
@@ -20,8 +21,99 @@ pub struct Figure {
     pub name: &'static str,
     /// One-line description for `figs list`.
     pub about: &'static str,
-    /// The entry point (reads flags from `std::env::args`).
-    pub run: fn(),
+    /// The entry point.
+    pub run: fn(&RunOptions),
+}
+
+/// One FCT-vs-load figure (Figs. 6–13).
+pub struct SweepFigure {
+    /// Subcommand name.
+    pub name: &'static str,
+    /// One-line description for `figs list`.
+    pub about: &'static str,
+    /// The printed table's title.
+    pub title: &'static str,
+    /// The sweep on the given leaf-spine fabric (the testbed figures
+    /// ignore it).
+    pub config: fn(LeafSpineConfig) -> SweepConfig,
+}
+
+/// Figs. 6–13, in figure order.
+pub const SWEEPS: [SweepFigure; 8] = [
+    SweepFigure {
+        name: "fig6",
+        about: "FCT: isolation, DWRR + DCTCP (testbed)",
+        title: "Fig. 6 — FCT, DWRR 4 queues, DCTCP, web search",
+        config: |_| SweepConfig::fig6(),
+    },
+    SweepFigure {
+        name: "fig7",
+        about: "FCT: isolation, WFQ + DCTCP (testbed)",
+        title: "Fig. 7 — FCT, WFQ 4 queues, DCTCP, web search",
+        config: |_| SweepConfig::fig7(),
+    },
+    SweepFigure {
+        name: "fig8",
+        about: "FCT: prioritization, SP/DWRR + PIAS (testbed)",
+        title: "Fig. 8 — FCT, SP(1)+DWRR(4), PIAS, DCTCP, web search",
+        config: |_| SweepConfig::fig8(),
+    },
+    SweepFigure {
+        name: "fig9",
+        about: "FCT: prioritization, SP/WFQ + PIAS (testbed)",
+        title: "Fig. 9 — FCT, SP(1)+WFQ(4), PIAS, DCTCP, web search",
+        config: |_| SweepConfig::fig9(),
+    },
+    SweepFigure {
+        name: "fig10",
+        about: "FCT: leaf-spine, SP/DWRR + DCTCP + PIAS",
+        title: "Fig. 10 — FCT, leaf-spine, SP(1)+DWRR(7), PIAS, DCTCP, 4 workloads",
+        config: SweepConfig::fig10,
+    },
+    SweepFigure {
+        name: "fig11",
+        about: "FCT: leaf-spine, SP/WFQ + DCTCP + PIAS",
+        title: "Fig. 11 — FCT, leaf-spine, SP(1)+WFQ(7), PIAS, DCTCP, 4 workloads",
+        config: SweepConfig::fig11,
+    },
+    SweepFigure {
+        name: "fig12",
+        about: "FCT: leaf-spine under ECN*",
+        title: "Fig. 12 — FCT, leaf-spine, SP(1)+DWRR(7), PIAS, ECN*, 4 workloads",
+        config: SweepConfig::fig12,
+    },
+    SweepFigure {
+        name: "fig13",
+        about: "FCT: leaf-spine, 32 queues, ECN*",
+        title: "Fig. 13 — FCT, leaf-spine, SP(1)+DWRR(31), PIAS, ECN*, 4 workloads",
+        config: SweepConfig::fig13,
+    },
+];
+
+impl SweepFigure {
+    /// The sweep and scale `opts` selects. `--full` means the paper's
+    /// 144-host fabric as well as its flow count.
+    pub fn resolve(&self, opts: &RunOptions) -> (SweepConfig, Scale) {
+        let fabric = if opts.full() {
+            LeafSpineConfig::paper()
+        } else {
+            LeafSpineConfig::small()
+        };
+        let cfg = (self.config)(fabric);
+        (cfg, opts.scale(matches!(cfg.env, Environment::TestbedStar)))
+    }
+
+    fn run(&self, opts: &RunOptions) {
+        let (cfg, scale) = self.resolve(opts);
+        let res = fct_sweep::run_with_opts(&cfg, &scale, &cfg.schemes(), &opts.sweep())
+            .expect("sweep harness failed");
+        print_sweep(self, &res, opts);
+    }
+}
+
+/// The [`FIGURES`] row of `SWEEPS[I]`.
+const fn sweep<const I: usize>() -> Figure {
+    Figure { name: SWEEPS[I].name, about: SWEEPS[I].about, run: |opts| SWEEPS[I].run(opts) }
 }
 
 /// Every figure, in the order `figs all` runs them.
@@ -31,14 +123,14 @@ pub const FIGURES: &[Figure] = &[
     Figure { name: "fig3", about: "buffer occupancy: enqueue/dequeue RED vs TCN", run: fig3 },
     Figure { name: "fig4", about: "the four workload flow-size distributions", run: fig4 },
     Figure { name: "fig5", about: "SP/WFQ static flows: goodput + probe RTTs", run: fig5 },
-    Figure { name: "fig6", about: "FCT: isolation, DWRR + DCTCP (testbed)", run: fig6 },
-    Figure { name: "fig7", about: "FCT: isolation, WFQ + DCTCP (testbed)", run: fig7 },
-    Figure { name: "fig8", about: "FCT: prioritization, SP/DWRR + PIAS (testbed)", run: fig8 },
-    Figure { name: "fig9", about: "FCT: prioritization, SP/WFQ + PIAS (testbed)", run: fig9 },
-    Figure { name: "fig10", about: "FCT: leaf-spine, SP/DWRR + DCTCP + PIAS", run: fig10 },
-    Figure { name: "fig11", about: "FCT: leaf-spine, SP/WFQ + DCTCP + PIAS", run: fig11 },
-    Figure { name: "fig12", about: "FCT: leaf-spine under ECN*", run: fig12 },
-    Figure { name: "fig13", about: "FCT: leaf-spine, 32 queues, ECN*", run: fig13 },
+    sweep::<0>(),
+    sweep::<1>(),
+    sweep::<2>(),
+    sweep::<3>(),
+    sweep::<4>(),
+    sweep::<5>(),
+    sweep::<6>(),
+    sweep::<7>(),
     Figure { name: "incast", about: "incast burst tolerance (§4.3 extension)", run: incast },
     Figure { name: "fairness", about: "probabilistic TCN short-window fairness", run: fairness },
     Figure { name: "pifo_demo", about: "TCN over a programmable PIFO scheduler", run: pifo_demo },
@@ -49,6 +141,11 @@ pub const FIGURES: &[Figure] = &[
 /// Find a figure by subcommand name.
 pub fn find(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
+}
+
+/// Find one of Figs. 6–13 by subcommand name.
+pub fn find_sweep(name: &str) -> Option<&'static SweepFigure> {
+    SWEEPS.iter().find(|f| f.name == name)
 }
 
 /// Render a sweep's quarantine list (empty = print nothing): the cells
@@ -67,7 +164,8 @@ fn print_quarantine(quarantined: &[fct_sweep::QuarantinedCell]) {
 }
 
 /// The FCT-sweep table shared by Figs. 6–13.
-fn print_sweep(title: &str, tag: &str, res: &fct_sweep::SweepResult) {
+fn print_sweep(fig: &SweepFigure, res: &fct_sweep::SweepResult, opts: &RunOptions) {
+    let tag = fig.name;
     let rows: Vec<Vec<String>> = res
         .cells
         .iter()
@@ -86,7 +184,7 @@ fn print_sweep(title: &str, tag: &str, res: &fct_sweep::SweepResult) {
         })
         .collect();
     print_table(
-        title,
+        fig.title,
         &[
             "scheme", "load", "done", "avg us", "small avg", "small p99", "large avg",
             "small TOs", "drops",
@@ -96,24 +194,14 @@ fn print_sweep(title: &str, tag: &str, res: &fct_sweep::SweepResult) {
     print_quarantine(&res.quarantined);
     let label = format!("Fig. {}", &tag[3..]);
     for (metric, svg) in sweep_charts(&label, &res.cells) {
-        maybe_write_svg(&format!("{tag}_{metric}"), &svg);
+        opts.write_svg(&format!("{tag}_{metric}"), &svg);
     }
-    maybe_write_json(tag, res);
-}
-
-/// `--full` selects the paper-scale leaf-spine fabric.
-fn leaf_topo() -> LeafSpineConfig {
-    if std::env::args().any(|a| a == "--full") {
-        LeafSpineConfig::paper()
-    } else {
-        LeafSpineConfig::small()
-    }
+    opts.write_json(tag, res);
 }
 
 /// Fig. 1: per-port ECN/RED goodput violation.
-pub fn fig1() {
-    let full = std::env::args().any(|a| a == "--full");
-    let (counts, window): (&[usize], Time) = if full {
+pub fn fig1(opts: &RunOptions) {
+    let (counts, window): (&[usize], Time) = if opts.full() {
         (&crate::fig1::PAPER_FLOW_COUNTS, Time::from_secs(1))
     } else {
         (&[2, 8, 16], Time::from_ms(400))
@@ -140,11 +228,11 @@ pub fn fig1() {
         "\nShape check: per-port RED lets svc2 grow with its flow count;\n\
          TCN keeps both services at the DWRR fair share (~480 Mbps goodput)."
     );
-    maybe_write_json("fig1", &res.cells);
+    opts.write_json("fig1", &res.cells);
 }
 
 /// Fig. 2: departure-rate (queue-capacity) estimation.
-pub fn fig2() {
+pub fn fig2(opts: &RunOptions) {
     let change = Time::from_ms(10);
     let (r, trace) = crate::fig2::run(change, Time::from_ms(30));
     print_table(
@@ -177,7 +265,7 @@ pub fn fig2() {
         "\n10KB raw sample oscillation: {:.2}–{:.2} Gbps (paper: 3.7–10)",
         r.dq10_raw_min_gbps, r.dq10_raw_max_gbps
     );
-    if std::env::args().any(|a| a == "--trace") {
+    if opts.trace {
         let tr = trace.borrow();
         println!("estimator,t_us,gbps");
         for (name, series) in [
@@ -209,13 +297,13 @@ pub fn fig2() {
                 .collect();
             ch.push(Series::new(name, pts));
         }
-        maybe_write_svg("fig2_estimates", &ch.render());
+        opts.write_svg("fig2_estimates", &ch.render());
     }
-    maybe_write_json("fig2", &r);
+    opts.write_json("fig2", &r);
 }
 
 /// Fig. 3: buffer occupancy under enqueue/dequeue ECN-RED and TCN.
-pub fn fig3() {
+pub fn fig3(opts: &RunOptions) {
     let res = crate::fig3::run(Time::from_ms(10), Time::from_ms(4));
     let rows: Vec<Vec<String>> = res
         .rows
@@ -238,7 +326,7 @@ pub fn fig3() {
         "\nShape check: dequeue RED peaks lowest (reacts to future packets);\n\
          TCN ≈ enqueue RED (~3x BDP); afterwards all oscillate below ~K."
     );
-    if std::env::args().any(|a| a == "--trace") {
+    if opts.trace {
         println!("scheme,t_us,bytes");
         for (row, ts) in res.rows.iter().zip(&res.traces) {
             for &(t, v) in ts.points() {
@@ -260,13 +348,13 @@ pub fn fig3() {
                 .collect();
             ch.push(Series::new(row.scheme.clone(), pts));
         }
-        maybe_write_svg("fig3_occupancy", &ch.render());
+        opts.write_svg("fig3_occupancy", &ch.render());
     }
-    maybe_write_json("fig3", &res.rows);
+    opts.write_json("fig3", &res.rows);
 }
 
 /// Fig. 4: the four workload flow-size distributions.
-pub fn fig4() {
+pub fn fig4(opts: &RunOptions) {
     let res = crate::fig4::run();
     let rows: Vec<Vec<String>> = res
         .rows
@@ -294,7 +382,7 @@ pub fn fig4() {
         ],
         &rows,
     );
-    if std::env::args().any(|a| a == "--cdf") {
+    if opts.cdf {
         println!("workload,size_bytes,cdf");
         for (w, s, p) in &res.cdf_points {
             println!("{w},{s},{p}");
@@ -315,15 +403,14 @@ pub fn fig4() {
                 .collect();
             ch.push(Series::new(wl, pts));
         }
-        maybe_write_svg("fig4_cdfs", &ch.render());
+        opts.write_svg("fig4_cdfs", &ch.render());
     }
-    maybe_write_json("fig4", &res);
+    opts.write_json("fig4", &res);
 }
 
 /// Fig. 5: SP/WFQ static flows — conformance and probe RTTs.
-pub fn fig5() {
-    let full = std::env::args().any(|a| a == "--full");
-    let phase = if full {
+pub fn fig5(opts: &RunOptions) {
+    let phase = if opts.full() {
         Time::from_secs(2)
     } else {
         Time::from_ms(250)
@@ -367,99 +454,12 @@ pub fn fig5() {
         "\nShape check: TCN RTT ≈ oracle/CoDel, far below per-queue RED\n\
          with the standard threshold (paper: 415 vs 1084 us average)."
     );
-    maybe_write_json("fig5", &res);
-}
-
-/// Fig. 6: inter-service isolation, DWRR + DCTCP (testbed star).
-pub fn fig6() {
-    let scale = Scale::from_args(true);
-    let res = fct_sweep::run(&SweepConfig::fig6(), &scale);
-    print_sweep("Fig. 6 — FCT, DWRR 4 queues, DCTCP, web search", "fig6", &res);
-}
-
-/// Fig. 7: inter-service isolation, WFQ + DCTCP (testbed star).
-pub fn fig7() {
-    let scale = Scale::from_args(true);
-    let res = fct_sweep::run(&SweepConfig::fig7(), &scale);
-    print_sweep("Fig. 7 — FCT, WFQ 4 queues, DCTCP, web search", "fig7", &res);
-}
-
-/// Fig. 8: traffic prioritization, SP/DWRR + PIAS + DCTCP (testbed).
-pub fn fig8() {
-    let scale = Scale::from_args(true);
-    let res = fct_sweep::run(&SweepConfig::fig8(), &scale);
-    print_sweep(
-        "Fig. 8 — FCT, SP(1)+DWRR(4), PIAS, DCTCP, web search",
-        "fig8",
-        &res,
-    );
-}
-
-/// Fig. 9: traffic prioritization, SP/WFQ + PIAS + DCTCP (testbed).
-pub fn fig9() {
-    let scale = Scale::from_args(true);
-    let res = fct_sweep::run(&SweepConfig::fig9(), &scale);
-    print_sweep(
-        "Fig. 9 — FCT, SP(1)+WFQ(4), PIAS, DCTCP, web search",
-        "fig9",
-        &res,
-    );
-}
-
-/// Fig. 10: leaf-spine prioritization, SP/DWRR + DCTCP.
-pub fn fig10() {
-    let scale = Scale::from_args(false);
-    let res = fct_sweep::run(&SweepConfig::fig10(leaf_topo()), &scale);
-    print_sweep(
-        "Fig. 10 — FCT, leaf-spine, SP(1)+DWRR(7), PIAS, DCTCP, 4 workloads",
-        "fig10",
-        &res,
-    );
-}
-
-/// Fig. 11: leaf-spine prioritization, SP/WFQ + DCTCP.
-pub fn fig11() {
-    let scale = Scale::from_args(false);
-    let res = fct_sweep::run(&SweepConfig::fig11(leaf_topo()), &scale);
-    print_sweep(
-        "Fig. 11 — FCT, leaf-spine, SP(1)+WFQ(7), PIAS, DCTCP, 4 workloads",
-        "fig11",
-        &res,
-    );
-}
-
-/// Fig. 12: leaf-spine prioritization under ECN*.
-pub fn fig12() {
-    let scale = Scale::from_args(false);
-    let res = fct_sweep::run(&SweepConfig::fig12(leaf_topo()), &scale);
-    print_sweep(
-        "Fig. 12 — FCT, leaf-spine, SP(1)+DWRR(7), PIAS, ECN*, 4 workloads",
-        "fig12",
-        &res,
-    );
-}
-
-/// Fig. 13: leaf-spine with 32 queues (1 SP + 31) under ECN*.
-pub fn fig13() {
-    let scale = Scale::from_args(false);
-    let res = fct_sweep::run(&SweepConfig::fig13(leaf_topo()), &scale);
-    print_sweep(
-        "Fig. 13 — FCT, leaf-spine, SP(1)+DWRR(31), PIAS, ECN*, 4 workloads",
-        "fig13",
-        &res,
-    );
+    opts.write_json("fig5", &res);
 }
 
 /// Extension: incast burst tolerance (§4.3 claim).
-pub fn incast() {
-    let args: Vec<String> = std::env::args().collect();
-    let fanout = args
-        .iter()
-        .position(|a| a == "--fanout")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let rows = crate::incast::run(fanout, 5, 64_000);
+pub fn incast(opts: &RunOptions) {
+    let rows = crate::incast::run(opts.fanout.unwrap_or(32), 5, 64_000);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -478,19 +478,12 @@ pub fn incast() {
         &["scheme", "fanout", "avg us", "p99 us", "timeouts", "drops"],
         &table,
     );
-    maybe_write_json("incast", &rows);
+    opts.write_json("incast", &rows);
 }
 
 /// Extension: probabilistic TCN short-window fairness (§4.3).
-pub fn fairness() {
-    let args: Vec<String> = std::env::args().collect();
-    let flows = args
-        .iter()
-        .position(|a| a == "--flows")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let rows = crate::fairness::run(flows, Time::from_ms(200));
+pub fn fairness(opts: &RunOptions) {
+    let rows = crate::fairness::run(opts.flows.unwrap_or(8), Time::from_ms(200));
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -507,11 +500,11 @@ pub fn fairness() {
         &["scheme", "Jain overall", "Jain 10ms-window", "Gbps"],
         &table,
     );
-    maybe_write_json("fairness", &rows);
+    opts.write_json("fairness", &rows);
 }
 
 /// Extension: ECN over a programmable PIFO scheduler (§2.2).
-pub fn pifo_demo() {
+pub fn pifo_demo(opts: &RunOptions) {
     let rows = crate::pifo_demo::run(Time::from_ms(200));
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -538,14 +531,13 @@ pub fn pifo_demo() {
          latency beats both queue-length schemes, and MQ-ECN ≈ RED here\n\
          because without a round it degenerates to the static threshold."
     );
-    maybe_write_json("pifo_demo", &rows);
+    opts.write_json("pifo_demo", &rows);
 }
 
 /// Extension: FCT degradation and recovery under fault injection.
-pub fn chaos() {
-    let scale = Scale::from_args(false);
+pub fn chaos(opts: &RunOptions) {
     let cfg = crate::chaos::ChaosConfig::paper_default();
-    let res = crate::chaos::run(&cfg, &scale);
+    let res = crate::chaos::run(&cfg, &opts.scale(false), &opts.sweep());
     let rows: Vec<Vec<String>> = res
         .cells
         .iter()
@@ -585,7 +577,7 @@ pub fn chaos() {
             );
         }
     }
-    maybe_write_json("chaos", &res);
+    opts.write_json("chaos", &res);
 }
 
 /// Extension: mixed-tenant coexistence — DCTCP, CUBIC and BBR each in
@@ -593,21 +585,15 @@ pub fn chaos() {
 /// {WFQ, DWRR} × {TCN, per-queue RED}. `--trace-out F` writes a JSONL
 /// telemetry trace of the WFQ+TCN combination (the `xtask ci`
 /// `cc(smoke)` stage validates it with `figs check-trace`).
-pub fn mixed() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let (warmup, measure) = if quick {
+pub fn mixed(opts: &RunOptions) {
+    let (warmup, measure) = if opts.quick() {
         (Time::from_ms(40), Time::from_ms(120))
     } else {
         (Time::from_ms(60), Time::from_ms(300))
     };
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1));
-    let bus = trace_out.map(|path| {
+    let bus = opts.trace_out.as_ref().map(|path| {
         let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("create {path}: {e}");
+            eprintln!("create {}: {e}", path.display());
             std::process::exit(1);
         });
         let bus = tcn_telemetry::Telemetry::new();
@@ -652,10 +638,10 @@ pub fn mixed() {
         "\nShape check: the scheduler owns isolation — every tenant holds\n\
          ~1/3 under both schedulers; only the DCTCP tenant cuts on ECN."
     );
-    if let Some(path) = trace_out {
-        println!("trace written to {path}");
+    if let Some(path) = &opts.trace_out {
+        println!("trace written to {}", path.display());
     }
-    maybe_write_json("mixed", &res);
+    opts.write_json("mixed", &res);
 }
 
 /// A figure that failed outright in `figs all` (as opposed to a sweep
@@ -678,12 +664,12 @@ pub struct FigureFailure {
 /// reach this layer — the sweeps quarantine them and still return a
 /// result, so a figure only lands here when it is broken wholesale.
 /// A failed scenario joins the same list as `scenario:<id>`.
-pub fn run_all() -> Vec<FigureFailure> {
+pub fn run_all(opts: &RunOptions) -> Vec<FigureFailure> {
     let mut failures = Vec::new();
     for fig in FIGURES {
         println!("\n################ {} ################", fig.name);
         if let Err(e) = crate::runner::run_isolated(|| {
-            (fig.run)();
+            (fig.run)(opts);
             Ok(())
         }) {
             eprintln!("!! {} failed: {e}", fig.name);
@@ -694,7 +680,7 @@ pub fn run_all() -> Vec<FigureFailure> {
         }
     }
     println!("\n################ scenarios ################");
-    let batch = crate::scenario::run_library(true, crate::runner::default_threads(), None)
+    let batch = crate::scenario::run_library(true, opts.threads(), None)
         .expect("an uncheckpointed scenario batch has no harness error path");
     for report in &batch.reports {
         println!(
@@ -739,5 +725,26 @@ mod tests {
         assert!(find("chaos").is_some());
         assert!(find("mixed").is_some());
         assert!(find("fig14").is_none());
+        let sweeps: Vec<&str> = SWEEPS.iter().map(|f| f.name).collect();
+        assert_eq!(names[5..13], sweeps[..], "figs 6–13 are the SWEEPS rows, in order");
+        assert!(find_sweep("fig5").is_none() && find_sweep("fig13").is_some());
+    }
+
+    /// `figs figN` and `figs trace figN` resolve the same row the same
+    /// way: `--full` is the paper's fabric *and* the paper's flow count.
+    #[test]
+    fn full_selects_fabric_and_flow_count_together() {
+        let full = RunOptions { preset: Some(crate::options::Preset::Full), ..RunOptions::default() };
+        let fabric_hosts = |cfg: SweepConfig| match cfg.env {
+            Environment::LeafSpine { cfg, .. } => Some(cfg.num_hosts()),
+            Environment::TestbedStar => None,
+        };
+        let fig10 = find_sweep("fig10").expect("fig10 is a sweep");
+        let (cfg, scale) = fig10.resolve(&full);
+        assert_eq!((fabric_hosts(cfg), scale.flows), (Some(144), 50_000));
+        let (cfg, scale) = fig10.resolve(&RunOptions::default());
+        assert_eq!((fabric_hosts(cfg), scale), (Some(16), Scale::quick()));
+        let (cfg, scale) = find_sweep("fig6").expect("fig6 is a sweep").resolve(&full);
+        assert_eq!((fabric_hosts(cfg), scale.flows), (None, 5_000), "testbed scale");
     }
 }

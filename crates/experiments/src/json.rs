@@ -9,15 +9,37 @@
 //!
 //! * [`Json`] — the value tree (objects keep insertion order so output
 //!   is stable across runs);
-//! * [`Json::parse`] — a strict RFC-8259-subset parser with
-//!   line/column error messages;
+//! * [`Json::parse`] / [`Json::parse_json5`] — the repo's one
+//!   recursive-descent reader, in two dialects (see below);
 //! * [`ToJson`] — the serialization trait; [`impl_to_json!`] derives it
 //!   for flat structs;
 //! * accessor helpers (`get`, `str_field`, `u64_field`, …) used by the
 //!   hand-written config deserializers.
+//!
+//! Every text format a user can hand the program goes through this one
+//! reader: `tcnsim` configs, checkpoint and trace lines and result files
+//! in the strict dialect, scenario files in the JSON5 dialect. `xtask`
+//! mounts this same file with `#[path]` to check its own lint output, so
+//! the file must stay free of `crate::` paths outside `crate::json`.
+//!
+//! | | strict | JSON5 |
+//! |---|---|---|
+//! | `//` and `/* */` comments | no | yes |
+//! | trailing comma in `[…]` / `{…}` | no | yes |
+//! | unquoted `[A-Za-z_][A-Za-z0-9_]*` keys | no | yes |
+//! | `'single-quoted'` strings and `\'` | no | yes |
+//!
+//! Both dialects reject a duplicate key in one object, a number that
+//! does not fit a finite `f64`, a raw line break inside a string and
+//! containers nested deeper than [`MAX_DEPTH`]; both report errors as
+//! `line:col: message`.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
+
+/// Deepest container nesting the reader accepts. The deepest document
+/// the repo writes nests 5 levels; the bound turns a file of 200 000
+/// `[` into an ordinary error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Numbers are `f64` (every value the experiments emit or
 /// parse fits: integers up to 2^53 and measurement floats).
@@ -209,20 +231,21 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document. Errors carry `line:column` positions.
+    /// Parse a strict JSON document.
+    ///
+    /// # Errors
+    /// A `"line:col: message"` string on malformed input.
     pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            rest: src.as_bytes().iter().copied().collect(),
-            line: 1,
-            col: 1,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if let Some(&c) = p.rest.front() {
-            return Err(p.err(&format!("trailing content starting with {:?}", c as char)));
-        }
-        Ok(v)
+        Parser::new(src, false).document()
+    }
+
+    /// Parse a document in the JSON5 dialect scenario files are written
+    /// in (the module docs list what it adds to strict JSON).
+    ///
+    /// # Errors
+    /// A `"line:col: message"` string on malformed input.
+    pub fn parse_json5(src: &str) -> Result<Json, String> {
+        Parser::new(src, true).document()
     }
 }
 
@@ -260,176 +283,234 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser {
-    rest: VecDeque<u8>,
-    line: u32,
-    col: u32,
+struct Parser<'a> {
+    src: &'a [u8],
+    pos: usize,
+    json5: bool,
+    depth: usize,
 }
 
-impl Parser {
-    fn err(&self, msg: &str) -> String {
-        format!("json parse error at {}:{}: {msg}", self.line, self.col)
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, json5: bool) -> Self {
+        Parser { src: src.as_bytes(), pos: 0, json5, depth: 0 }
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.rest.pop_front()?;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.rest.front(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(self.err(&format!("expected {:?}, found {:?}", want as char, c as char))),
-            None => Err(self.err(&format!("expected {:?}, found end of input", want as char))),
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str, value: Json) -> Result<Json, String> {
-        for &b in kw.as_bytes() {
-            self.expect(b)?;
+    fn document(mut self) -> Result<Json, String> {
+        self.skip_trivia()?;
+        let value = self.value()?;
+        self.skip_trivia()?;
+        if self.pos < self.src.len() {
+            return Err(self.err("trailing content after the document"));
         }
         Ok(value)
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.rest.front() {
-            None => Err(self.err("expected a value, found end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_keyword("true", Json::Bool(true)),
-            Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
-            Some(b'n') => self.eat_keyword("null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            Some(&c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
+    /// `line:col`-tagged error at the current position (columns count
+    /// bytes).
+    fn err(&self, msg: &str) -> String {
+        let (mut line, mut col) = (1usize, 1usize);
+        for &b in &self.src[..self.pos.min(self.src.len())] {
+            if b == b'\n' {
+                line += 1;
+                col = 1;
+            } else {
+                col += 1;
+            }
+        }
+        format!("{line}:{col}: {msg}")
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.src.get(self.pos).copied()
+    }
+
+    /// Skip whitespace and, in JSON5, `//` and `/* */` comments.
+    fn skip_trivia(&mut self) -> Result<(), String> {
+        loop {
+            match self.peek() {
+                Some(b' ' | b'\t' | b'\r' | b'\n') => self.pos += 1,
+                Some(b'/') if self.json5 => match self.src.get(self.pos + 1) {
+                    Some(b'/') => {
+                        while !matches!(self.peek(), None | Some(b'\n')) {
+                            self.pos += 1;
+                        }
+                    }
+                    Some(b'*') => {
+                        let close = self.src[self.pos + 2..].windows(2).position(|w| w == b"*/");
+                        match close {
+                            Some(at) => self.pos += 2 + at + 2,
+                            None => return Err(self.err("unterminated block comment")),
+                        }
+                    }
+                    _ => return Ok(()),
+                },
+                _ => return Ok(()),
+            }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.rest.front() == Some(&b'}') {
-            self.bump();
-            return Ok(Json::Obj(fields));
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'\'') if self.json5 => Ok(Json::Str(self.string()?)),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) if c.is_ascii_alphabetic() => match self.identifier() {
+                "true" => Ok(Json::Bool(true)),
+                "false" => Ok(Json::Bool(false)),
+                "null" => Ok(Json::Null),
+                other => Err(self.err(&format!("unknown word `{other}`"))),
+            },
+            Some(c) => Err(self.err(&format!("unexpected `{}`", c as char))),
+            None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// The comma-separated body of the container opening at the current
+    /// position, up to `close`: `item` parses one element.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1; // the opening bracket
+        let mut after_comma = false;
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(fields)),
-                Some(c) => {
-                    return Err(self.err(&format!("expected ',' or '}}', found {:?}", c as char)))
+            self.skip_trivia()?;
+            if self.peek() == Some(close) {
+                if after_comma && !self.json5 {
+                    return Err(self.err("trailing comma"));
                 }
-                None => return Err(self.err("unterminated object")),
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(());
+            }
+            item(self)?;
+            self.skip_trivia()?;
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    after_comma = true;
+                }
+                Some(c) if c == close => after_comma = false,
+                _ => return Err(self.err(&format!("expected `,` or `{}`", close as char))),
             }
         }
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.rest.front() == Some(&b']') {
-            self.bump();
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                Some(c) => {
-                    return Err(self.err(&format!("expected ',' or ']', found {:?}", c as char)))
+        let mut out = Vec::new();
+        self.items(b']', |p| {
+            out.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(out))
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        let mut fields: Vec<(String, Json)> = Vec::new();
+        self.items(b'}', |p| {
+            let key = match p.peek() {
+                Some(b'"') => p.string()?,
+                Some(b'\'') if p.json5 => p.string()?,
+                Some(c) if p.json5 && (c.is_ascii_alphabetic() || c == b'_') => {
+                    p.identifier().to_string()
                 }
-                None => return Err(self.err("unterminated array")),
+                _ => return Err(p.err("expected an object key")),
+            };
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(p.err(&format!("duplicate key `{key}`")));
             }
+            p.skip_trivia()?;
+            if p.peek() != Some(b':') {
+                return Err(p.err("expected `:`"));
+            }
+            p.pos += 1;
+            p.skip_trivia()?;
+            fields.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    /// A quoted string starting at the current position, unescaped.
+    fn string(&mut self) -> Result<String, String> {
+        let quote = self.src[self.pos];
+        self.pos += 1;
+        let mut out = Vec::new();
+        loop {
+            let c = match self.peek() {
+                None | Some(b'\n') => return Err(self.err("unterminated string")),
+                Some(c) => c,
+            };
+            self.pos += 1;
+            if c == quote {
+                // Only ASCII bytes were removed or inserted, so a `&str`
+                // source always leaves valid UTF-8 behind.
+                return String::from_utf8(out).map_err(|_| self.err("invalid UTF-8 in string"));
+            }
+            if c != b'\\' {
+                out.push(c);
+                continue;
+            }
+            let unescaped = match self.peek() {
+                Some(c @ (b'"' | b'\\' | b'/')) => c,
+                Some(b'\'') if self.json5 => b'\'',
+                Some(b'n') => b'\n',
+                Some(b't') => b'\t',
+                Some(b'r') => b'\r',
+                Some(b'b') => 0x08,
+                Some(b'f') => 0x0c,
+                Some(b'u') => {
+                    // Basic-plane only: a lone surrogate is an error and
+                    // no document this repo reads or writes pairs them.
+                    let c = self
+                        .src
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|hex| {
+                            hex.iter().try_fold(0u32, |code, &d| {
+                                Some(code * 16 + (d as char).to_digit(16)?)
+                            })
+                        })
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| self.err("invalid \\u escape"))?;
+                    out.extend_from_slice(c.encode_utf8(&mut [0u8; 4]).as_bytes());
+                    self.pos += 5;
+                    continue;
+                }
+                _ => return Err(self.err("invalid escape")),
+            };
+            out.push(unescaped);
+            self.pos += 1;
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut bytes = Vec::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => bytes.push(b'"'),
-                    Some(b'\\') => bytes.push(b'\\'),
-                    Some(b'/') => bytes.push(b'/'),
-                    Some(b'n') => bytes.push(b'\n'),
-                    Some(b't') => bytes.push(b'\t'),
-                    Some(b'r') => bytes.push(b'\r'),
-                    Some(b'b') => bytes.push(0x08),
-                    Some(b'f') => bytes.push(0x0c),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .ok_or_else(|| self.err("unterminated \\u escape"))?;
-                            let d = (d as char)
-                                .to_digit(16)
-                                .ok_or_else(|| self.err("invalid hex digit in \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        // Basic-plane only; surrogate pairs are not needed
-                        // by any config this repo reads or writes.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| self.err("invalid \\u code point"))?;
-                        let mut buf = [0u8; 4];
-                        bytes.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    Some(c) => {
-                        return Err(self.err(&format!("invalid escape \\{}", c as char)));
-                    }
-                    None => return Err(self.err("unterminated escape")),
-                },
-                Some(c) => bytes.push(c),
-            }
+    /// The `[A-Za-z0-9_]*` run at the current position: an unquoted key
+    /// or one of `true` / `false` / `null`.
+    fn identifier(&mut self) -> &'a str {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
+            self.pos += 1;
         }
-        String::from_utf8(bytes).map_err(|_| self.err("invalid UTF-8 in string"))
+        std::str::from_utf8(&self.src[start..self.pos]).unwrap_or_default()
     }
 
     fn number(&mut self) -> Result<Json, String> {
-        let mut text = String::new();
-        if self.rest.front() == Some(&b'-') {
-            text.push('-');
-            self.bump();
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+            self.pos += 1;
         }
-        while let Some(&c) = self.rest.front() {
-            if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-                text.push(c as char);
-                self.bump();
-            } else {
-                break;
-            }
+        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or_default();
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(self.err(&format!("number `{text}` is out of range"))),
+            Err(_) => Err(self.err(&format!("malformed number `{text}`"))),
         }
-        let n: f64 = text
-            .parse()
-            .map_err(|_| self.err(&format!("invalid number `{text}`")))?;
-        Ok(Json::Num(n))
     }
 }
 
@@ -550,19 +631,111 @@ mod tests {
         assert_eq!(v, v2);
     }
 
+    /// What both dialects accept, and the tree they must agree on.
     #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-        assert!(Json::parse("tru").is_err());
-        assert!(Json::parse("1 2").is_err());
+    fn strict_documents_parse_the_same_in_both_dialects() {
+        let num = Json::Num;
+        let cases: Vec<(&str, Json)> = vec![
+            (
+                r#"{"a":[1,2,{"b":"c"}],"d":true,"e":null,"f":-1.5e2}"#,
+                Json::obj(vec![
+                    ("a", Json::Arr(vec![num(1.0), num(2.0), Json::obj(vec![("b", "c".to_json())])])),
+                    ("d", Json::Bool(true)),
+                    ("e", Json::Null),
+                    ("f", num(-150.0)),
+                ]),
+            ),
+            (r#"{"a": [1, 2.5, -3], "b": {"c": "d"}}"#, {
+                let b = Json::obj(vec![("c", "d".to_json())]);
+                Json::obj(vec![("a", Json::Arr(vec![num(1.0), num(2.5), num(-3.0)])), ("b", b)])
+            }),
+            (r#""a\"b\\c\nd\u0041\/\t\r\b\f""#, "a\"b\\c\ndA/\t\r\u{8}\u{c}".to_json()),
+            ("\"caf\u{e9} \u{2014} ok\"", "caf\u{e9} \u{2014} ok".to_json()),
+            (" [ ] ", Json::Arr(vec![])),
+            ("{}", Json::obj(vec![])),
+            ("1.", num(1.0)),
+        ];
+        for (src, want) in cases {
+            assert_eq!(Json::parse(src).as_ref(), Ok(&want), "strict: {src}");
+            assert_eq!(Json::parse_json5(src).as_ref(), Ok(&want), "json5: {src}");
+        }
     }
 
     #[test]
-    fn error_positions_are_reported() {
-        let err = Json::parse("{\n  \"a\": ?\n}").unwrap_err();
-        assert!(err.contains("2:"), "error should carry a line: {err}");
+    fn json5_extras_parse_in_json5_and_are_errors_in_strict() {
+        let src = r#"
+        // a scenario header
+        {
+            id: "demo", /* inline note */
+            tags: ["a", "b",],
+            base: { hosts: 8, loss: 0.25, on: true, off: false, gap: null, },
+        }
+        "#;
+        let v = Json::parse_json5(src).expect("parses");
+        assert_eq!(v.str_field("id").unwrap(), "demo");
+        assert_eq!(v.get("tags").unwrap().as_arr().unwrap().len(), 2);
+        let base = v.get("base").unwrap();
+        assert_eq!(base.u64_field("hosts").unwrap(), 8);
+        assert_eq!(base.f64_field("loss").unwrap(), 0.25);
+        assert_eq!(base.get("gap"), Some(&Json::Null));
+        let v = Json::parse_json5(r#"{ s: 'it\'s', "t": "a\nb" }"#).unwrap();
+        assert_eq!(v.str_field("s").unwrap(), "it's");
+        assert_eq!(v.str_field("t").unwrap(), "a\nb");
+
+        for (src, want) in [
+            ("[1,]", "1:4: trailing comma"),
+            ("{\"a\":1,}", "1:8: trailing comma"),
+            ("{a: 1}", "1:2: expected an object key"),
+            ("['x']", "1:2: unexpected `'`"),
+            ("[1] // done", "1:5: trailing content"),
+            ("/* c */ 1", "1:1: unexpected `/`"),
+            (r#""it\'s""#, "1:5: invalid escape"),
+        ] {
+            assert!(Json::parse_json5(src).is_ok(), "json5 accepts {src}");
+            let err = Json::parse(src).expect_err(src);
+            assert!(err.starts_with(want), "{src}: {err}");
+        }
+    }
+
+    /// Rejected by both dialects, with the same `line:col: message`.
+    #[test]
+    fn malformed_documents_are_errors_with_positions() {
+        let deep = "[".repeat(200_000);
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok() && Json::parse_json5(&at_bound).is_ok());
+        let cases: Vec<(&str, &str)> = vec![
+            ("", "1:1: unexpected end of input"),
+            ("{", "1:2: expected an object key"),
+            ("[1,", "1:4: unexpected end of input"),
+            ("{\"a\" 1}", "1:6: expected `:`"),
+            ("{\"a\":}", "1:6: unexpected `}`"),
+            ("{\n  \"a\": ?\n}", "2:8: unexpected `?`"),
+            ("{\n  \"a\": ,\n}", "2:8: unexpected `,`"),
+            ("{ \"a\": 1 \"b\": 2 }", "1:10: expected `,` or `}`"),
+            ("[1 2]", "1:4: expected `,` or `]`"),
+            ("tru", "1:4: unknown word `tru`"),
+            ("1 2", "1:3: trailing content after the document"),
+            ("{} {}", "1:4: trailing content after the document"),
+            ("{\"a\":1} extra", "1:9: trailing content after the document"),
+            ("\"unterminated", "1:14: unterminated string"),
+            ("\"line\nbreak\"", "1:6: unterminated string"),
+            ("\"\\x\"", "1:3: invalid escape"),
+            ("\"\\u12\"", "1:3: invalid \\u escape"),
+            ("\"\\ud800\"", "1:3: invalid \\u escape"),
+            ("{ \"a\": 1, \"a\": 2 }", "1:14: duplicate key `a`"),
+            ("-", "1:2: malformed number `-`"),
+            ("1e", "1:3: malformed number `1e`"),
+            ("1-2", "1:4: malformed number `1-2`"),
+            ("1e400", "1:6: number `1e400` is out of range"),
+            (&deep, "1:129: nested deeper than 128 levels"),
+        ];
+        for (src, want) in cases {
+            let shown = &src[..src.len().min(40)];
+            assert_eq!(Json::parse(src), Err(want.to_string()), "strict: {shown}");
+            assert_eq!(Json::parse_json5(src), Err(want.to_string()), "json5: {shown}");
+        }
+        let err = Json::parse_json5("/* open").expect_err("unterminated comment");
+        assert_eq!(err, "1:1: unterminated block comment");
     }
 
     #[test]

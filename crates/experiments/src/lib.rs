@@ -22,9 +22,13 @@
 //! provenance. [`trace`] holds the JSONL telemetry sink and schema
 //! validator behind `figs trace` / `figs check-trace`.
 //!
+//! Outside input enters in two places only: flags and `TCN_*` variables
+//! through [`options::RunOptions::parse`], called once by each binary
+//! and handed down, and files through the one reader in [`json`].
+//!
 //! Grid-shaped runners fan their independent cells out over [`runner`]'s
 //! scoped thread pool; results merge in canonical cell order, so output
-//! is byte-identical at any thread count (`TCN_THREADS` pins it).
+//! is byte-identical at any thread count (`--threads` / `TCN_THREADS`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +48,7 @@ pub mod fig5;
 pub mod figs;
 pub mod incast;
 pub mod mixed;
+pub mod options;
 pub mod pifo_demo;
 pub mod runner;
 pub mod scenario;

@@ -11,9 +11,9 @@
 //! byte-identical at any thread count, including 1.
 //!
 //! Zero dependencies: `std::thread::scope` plus an `AtomicUsize`. The
-//! thread count comes from the `TCN_THREADS` environment variable when
-//! set (the determinism harness pins it to 1/4/8), otherwise from
-//! `std::thread::available_parallelism`.
+//! thread count is the caller's (`--threads` / `TCN_THREADS` arrive as
+//! [`crate::options::RunOptions::threads`]); [`default_threads`] is the
+//! host's parallelism.
 //!
 //! Two tiers of fault handling: [`run_cells_with`] propagates panics
 //! (a broken cell aborts the sweep), while [`run_cell_outcomes_with`]
@@ -117,14 +117,8 @@ pub fn quarantine<T>(outcomes: &[CellOutcome<T>]) -> Vec<(usize, u32, CellError)
         .collect()
 }
 
-/// Thread count policy: `TCN_THREADS` (clamped to ≥ 1) when set and
-/// parseable, else the host's available parallelism, else 1.
+/// The host's available parallelism, else 1.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("TCN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -174,15 +168,6 @@ where
                 .expect("worker skipped a cell")
         })
         .collect()
-}
-
-/// [`run_cells_with`] at the [`default_threads`] count.
-pub fn run_cells<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_cells_with(default_threads(), n, f)
 }
 
 /// Fault-isolated variant of [`run_cells_with`]: each cell runs under

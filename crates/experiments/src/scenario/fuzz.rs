@@ -6,7 +6,7 @@
 //!
 //! Determinism contract: for a fixed master seed the whole report —
 //! every per-seed line, every shrunk repro — is byte-identical at any
-//! `TCN_THREADS`, because cells merge in canonical order and shrinking
+//! thread count, because cells merge in canonical order and shrinking
 //! replays serially.
 
 use std::path::PathBuf;
@@ -19,8 +19,8 @@ use crate::json::{Json, ToJson};
 use crate::runner::{default_threads, run_cell_outcomes_with, run_isolated, CellOutcome};
 use tcn_sim::{Rng, Time};
 
-/// Fuzzer configuration. `from_env` layers the `TCN_FUZZ_SEEDS` and
-/// `TCN_FUZZ_STEP_BUDGET` knobs on top.
+/// Fuzzer configuration (`figs fuzz` derives it from the process
+/// options: [`crate::options::RunOptions::fuzz`]).
 #[derive(Debug, Clone)]
 pub struct FuzzOpts {
     /// How many seeds (= generated scenarios) to run.
@@ -36,8 +36,8 @@ pub struct FuzzOpts {
 }
 
 impl FuzzOpts {
-    /// Defaults for `seeds` seeds: master seed fixed, budget 6,
-    /// threads from `TCN_THREADS`, quarantine under `results/`.
+    /// Defaults for `seeds` seeds: master seed fixed, budget 6, the
+    /// host's parallelism, quarantine under `results/`.
     pub fn new(seeds: usize) -> Self {
         FuzzOpts {
             seeds,
@@ -48,22 +48,6 @@ impl FuzzOpts {
         }
     }
 
-    /// Apply `TCN_FUZZ_SEEDS` and `TCN_FUZZ_STEP_BUDGET` overrides.
-    pub fn from_env(mut self) -> Self {
-        if let Some(n) = std::env::var("TCN_FUZZ_SEEDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            self.seeds = n;
-        }
-        if let Some(n) = std::env::var("TCN_FUZZ_STEP_BUDGET")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            self.step_budget = n.max(1);
-        }
-        self
-    }
 }
 
 /// One fuzz failure: the seed, the error, and the shrunk repro.
@@ -456,7 +440,7 @@ mod tests {
             // Every generated scenario round-trips through the DSL.
             let text = scenario_to_json5(&a);
             let back = crate::scenario::parse_scenario(
-                &crate::scenario::parse_json5(&text).expect("repro parses"),
+                &Json::parse_json5(&text).expect("repro parses"),
             )
             .expect("repro validates");
             assert_eq!(a, back, "seed {seed} repro must round-trip");
@@ -543,7 +527,7 @@ mod tests {
         assert!(shrunk.steps[0].at < Time::from_us(800), "offset halved");
     }
 
-    /// `TCN_THREADS`-style thread invariance: the merged report lines
+    /// Thread invariance: the merged report lines
     /// are identical when the seed sweep runs serially vs 4-wide.
     #[test]
     fn fuzz_report_is_thread_invariant() {

@@ -7,7 +7,8 @@
 //! editing a scenario file invalidates exactly the cells built from
 //! the old bytes.
 
-use super::{parse_json5, parse_scenario, Scenario};
+use super::{parse_scenario, Scenario};
+use crate::json::Json;
 
 /// One embedded scenario: its id and the raw `scenarios/<id>.json5`
 /// source bytes.
@@ -62,7 +63,7 @@ pub fn find(id: &str) -> Option<&'static NamedScenario> {
 /// catches that in CI).
 pub fn load(id: &str) -> Result<Scenario, String> {
     let named = find(id).ok_or_else(|| format!("unknown scenario `{id}`"))?;
-    parse_json5(named.source)
+    Json::parse_json5(named.source)
         .and_then(|v| parse_scenario(&v))
         .map_err(|e| format!("scenario `{id}`: {e}"))
 }
@@ -84,15 +85,20 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The library id closest to `id` by edit distance, for
-/// "unknown scenario, did you mean …" suggestions. `None` when nothing
-/// is plausibly close (distance > half the input's length + 2).
-pub fn nearest(id: &str) -> Option<&'static str> {
-    let (best, dist) = LIBRARY
-        .iter()
-        .map(|n| (n.id, edit_distance(id, n.id)))
+/// The candidate closest to `word` by edit distance, for "unknown …,
+/// did you mean …" suggestions. `None` when nothing is plausibly close
+/// (distance > half the input's length + 2).
+pub fn nearest_of<'a>(word: &str, candidates: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    let (best, dist) = candidates
+        .into_iter()
+        .map(|c| (c, edit_distance(word, c)))
         .min_by_key(|&(name, d)| (d, name))?;
-    (dist <= id.len() / 2 + 2).then_some(best)
+    (dist <= word.len() / 2 + 2).then_some(best)
+}
+
+/// The library id closest to a mistyped `id`, if any is close.
+pub fn nearest(id: &str) -> Option<&'static str> {
+    nearest_of(id, LIBRARY.iter().map(|n| n.id))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! single-switch workload plus an ordered list of timed steps, each
 //! mutating link conditions, AQM parameters, link rates, topology
 //! (admin up/down, switch drains) or the traffic mix. Scenario files
-//! are written in a hand-rolled JSON5 subset ([`json5`]) with duration
+//! are written in the JSON5 dialect of [`crate::json`] with duration
 //! strings (`"500ms"`, `"2s"`) resolved to picosecond [`Time`] values,
 //! and compile down to [`tcn_net::NetMutation`]s scheduled on the
 //! simulator's calendar queue — so a step lands with exactly the same
@@ -12,8 +12,6 @@
 //!
 //! The pieces:
 //!
-//! * [`json5`] — the lenient parser (comments, trailing commas,
-//!   unquoted keys) producing plain [`crate::json::Json`] values;
 //! * [`parse`] — `Json` → [`Scenario`] (and back, for quarantine
 //!   repros), including [`parse::parse_duration`];
 //! * [`engine`] — builds the sim, expands loops, schedules the steps,
@@ -26,14 +24,12 @@
 pub mod batch;
 pub mod engine;
 pub mod fuzz;
-pub mod json5;
 pub mod library;
 pub mod parse;
 
 pub use batch::{library_fingerprint, run_library, BatchOutcome};
 pub use engine::{run_scenario, ScenarioReport};
 pub use fuzz::{run_fuzz, shrink, FuzzOpts, FuzzReport};
-pub use json5::parse_json5;
 pub use library::{find, load, nearest, NamedScenario, LIBRARY};
 pub use parse::{parse_duration, parse_scenario, scenario_to_json5};
 

@@ -368,7 +368,7 @@ fn parse_mutation(v: &Json) -> Result<StepMutation, String> {
     }
 }
 
-/// Parse a whole scenario document (already through [`super::parse_json5`]).
+/// Parse a whole scenario document (already through [`Json::parse_json5`]).
 ///
 /// # Errors
 /// A message naming the offending field, with `steps[i]` context.
@@ -575,7 +575,6 @@ pub fn scenario_to_json5(sc: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::parse_json5;
 
     #[test]
     fn duration_units_resolve_to_picoseconds() {
@@ -648,7 +647,7 @@ mod tests {
 
     #[test]
     fn full_scenario_parses() {
-        let sc = parse_scenario(&parse_json5(demo_source()).unwrap()).unwrap();
+        let sc = parse_scenario(&Json::parse_json5(demo_source()).unwrap()).unwrap();
         assert_eq!(sc.id, "demo-burst");
         assert_eq!(sc.base.hosts, 4);
         assert_eq!(sc.base.scheme, Scheme::Tcn { threshold: Time::from_us(100) });
@@ -669,19 +668,19 @@ mod tests {
 
     #[test]
     fn scenarios_round_trip_through_serialization() {
-        let sc = parse_scenario(&parse_json5(demo_source()).unwrap()).unwrap();
+        let sc = parse_scenario(&Json::parse_json5(demo_source()).unwrap()).unwrap();
         let text = scenario_to_json5(&sc);
-        let back = parse_scenario(&parse_json5(&text).unwrap()).unwrap();
+        let back = parse_scenario(&Json::parse_json5(&text).unwrap()).unwrap();
         assert_eq!(sc, back);
     }
 
     #[test]
     fn unknown_keys_are_named_in_errors() {
-        let err = parse_scenario(&parse_json5(r#"{ id: "x", flows: 3 }"#).unwrap())
+        let err = parse_scenario(&Json::parse_json5(r#"{ id: "x", flows: 3 }"#).unwrap())
             .expect_err("flows belongs under base");
         assert!(err.contains("unknown key `flows`"), "{err}");
         let err = parse_scenario(
-            &parse_json5(r#"{ id: "x", steps: [{ at: "1ms", do: { kind: "warp" } }] }"#).unwrap(),
+            &Json::parse_json5(r#"{ id: "x", steps: [{ at: "1ms", do: { kind: "warp" } }] }"#).unwrap(),
         )
         .expect_err("unknown step kind");
         assert!(err.contains("steps[0]") && err.contains("warp"), "{err}");
@@ -690,13 +689,13 @@ mod tests {
     #[test]
     fn degenerate_scenarios_are_rejected() {
         let no_traffic = r#"{ id: "x", base: { flows: 0 } }"#;
-        let err = parse_scenario(&parse_json5(no_traffic).unwrap()).unwrap_err();
+        let err = parse_scenario(&Json::parse_json5(no_traffic).unwrap()).unwrap_err();
         assert!(err.contains("no traffic"), "{err}");
         let bad_loop = r#"{ id: "x", loop_scenario: 0 }"#;
-        let err = parse_scenario(&parse_json5(bad_loop).unwrap()).unwrap_err();
+        let err = parse_scenario(&Json::parse_json5(bad_loop).unwrap()).unwrap_err();
         assert!(err.contains("loop_scenario"), "{err}");
         let zero_rate = r#"{ id: "x", steps: [{ at: "0ms", do: { kind: "link-rate", link: 1, mbps: 0 } }] }"#;
-        let err = parse_scenario(&parse_json5(zero_rate).unwrap()).unwrap_err();
+        let err = parse_scenario(&Json::parse_json5(zero_rate).unwrap()).unwrap_err();
         assert!(err.contains("mbps must be positive"), "{err}");
     }
 }

@@ -1,0 +1,149 @@
+//! The binaries' input edge, driven as processes: strict option
+//! parsing exits 2 before anything runs, a bad file exits 1 with a
+//! message and never crashes, and `--threads` reaches every parallel
+//! runner without going through the environment.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use tcn_experiments::config::example_json;
+
+const FIGS: &str = env!("CARGO_BIN_EXE_figs");
+const TCNSIM: &str = env!("CARGO_BIN_EXE_tcnsim");
+
+/// A fresh directory under the system temp dir, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("tcn-cli-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `TCN_*` variables of one run, as `(name, value)` pairs.
+type Env = [(&'static str, &'static str)];
+
+/// Run `bin args` in `dir` with exactly the `TCN_*` variables in `env`.
+fn run(bin: &str, dir: &Path, args: &[&str], env: &Env) -> Output {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).current_dir(dir);
+    for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("TCN_")) {
+        cmd.env_remove(name);
+    }
+    cmd.envs(env.iter().copied()).output().expect("spawn")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn a_misspelt_flag_exits_2_before_simulating() {
+    let dir = Scratch::new("typo");
+    let cases: [(&[&str], &Env, &str); 5] = [
+        (&["fig6", "--flws", "10"], &[], "unknown flag `--flws` — did you mean `--flows`?"),
+        (&["fig6", "--flws", "10", "--flows", "abc"], &[], "unknown flag `--flws`"),
+        (&["fig6", "--flows"], &[], "--flows needs a value"),
+        (&["fig1", "--nonsense"], &[("TCN_RETRY_ATTEMPTS", "abc")], "unknown flag `--nonsense`"),
+        (&["fig1"], &[("TCN_THREADS", "zero")], "TCN_THREADS: `zero` is not"),
+    ];
+    for (args, env, want) in cases {
+        let out = run(FIGS, &dir.0, args, env);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed {:?}", text(&out.stdout));
+        assert!(text(&out.stderr).contains(want), "{args:?}: {}", text(&out.stderr));
+    }
+    assert!(!dir.0.join("results").exists(), "nothing ran, nothing was written");
+}
+
+#[test]
+fn the_seeds_flag_beats_its_environment_spelling() {
+    let dir = Scratch::new("seeds");
+    let out = run(FIGS, &dir.0, &["fuzz", "--seeds", "3"], &[("TCN_FUZZ_SEEDS", "9")]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert!(text(&out.stdout).ends_with("fuzz: 3 seeds, zero violations\n"), "{}", text(&out.stdout));
+    let out = run(FIGS, &dir.0, &["fuzz"], &[("TCN_FUZZ_SEEDS", "2")]);
+    assert!(text(&out.stdout).ends_with("fuzz: 2 seeds, zero violations\n"), "{}", text(&out.stdout));
+}
+
+/// Every file that used to take the process down — an `assert!` deep in
+/// a simulator crate (exit 101), a stack overflow in the parser (134) —
+/// is now exit 1 with a message that names the problem.
+#[test]
+fn a_bad_file_is_exit_1_with_a_message_never_a_crash() {
+    let dir = Scratch::new("badfile");
+    let example = example_json();
+    let prob = r#""kind": "tcn_prob", "t_min_us": 400, "t_max_us": 300, "p_max": 0.5"#;
+    let edits = [
+        ("\"receiver\": 8", "\"receiver\": 99", "invalid configuration: workload.receiver"),
+        ("\"queues\": 4", "\"queues\": 0", "invalid configuration: port.queues"),
+        ("\"load\": 0.6", "\"load\": 0", "invalid configuration: workload.load"),
+        ("\"quantum\": 1500", "\"quantum\": 0", "invalid configuration: port.scheduler.quantum"),
+        ("\"kind\": \"tcn\",\n      \"threshold_us\": 256", prob, "invalid configuration: port.aqm.t_min_us"),
+        ("\"rate_gbps\": 1", "\"rate_gbps\": 0", "invalid configuration: topology.rate_gbps"),
+    ];
+    for (from, to, want) in edits {
+        assert!(example.contains(from), "the example no longer contains `{from}`");
+        std::fs::write(dir.0.join("cfg.json"), example.replace(from, to)).expect("write config");
+        let out = run(TCNSIM, &dir.0, &["cfg.json"], &[]);
+        assert_eq!(out.status.code(), Some(1), "{to}: {}", text(&out.stderr));
+        assert!(text(&out.stderr).starts_with(&format!("cfg.json: {want}")), "{}", text(&out.stderr));
+    }
+    std::fs::write(dir.0.join("deep.json"), "[".repeat(200_000)).expect("write deep file");
+    for (bin, args) in [(TCNSIM, &["deep.json"][..]), (FIGS, &["check-trace", "deep.json"])] {
+        let out = run(bin, &dir.0, args, &[]);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", text(&out.stderr));
+        assert!(text(&out.stderr).contains("1:129: nested deeper than 128 levels"), "{}", text(&out.stderr));
+    }
+}
+
+/// Every file under `dir`, by relative path, with its bytes.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).expect("under dir").to_path_buf();
+                files.push((rel, std::fs::read(&path).expect("read file")));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// `figs all` — every figure, then the scenario library — prints and
+/// writes the same bytes on one worker and on two. The thread count
+/// arrives by flag alone: the environment names a third value that the
+/// flag must beat, and nothing sets a variable on the way down.
+#[test]
+fn figs_all_is_byte_identical_at_one_and_two_threads() {
+    let run_all = |threads: &str| {
+        let dir = Scratch::new(&format!("all-{threads}"));
+        let args = ["all", "--flows", "30", "--loads", "0.5", "--json", "--threads", threads];
+        let out = run(FIGS, &dir.0, &args, &[("TCN_THREADS", "7")]);
+        assert!(out.status.success(), "--threads {threads}: {}", text(&out.stderr));
+        (text(&out.stdout), tree(&dir.0))
+    };
+    let (one, two) = (run_all("1"), run_all("2"));
+    assert!(one.0.ends_with("all 18 figures and 17 scenarios succeeded\n"));
+    assert_eq!((one.1.len(), two.1.len()), (18, 18), "one result file per figure");
+    assert_eq!(one.0, two.0, "stdout differs between --threads 1 and --threads 2");
+    for ((path, a), (path2, b)) in one.1.iter().zip(&two.1) {
+        let same = path == path2 && a == b;
+        assert!(same, "{} differs between --threads 1 and --threads 2", path.display());
+    }
+}

@@ -1,215 +1,30 @@
-//! A minimal JSON parser used to sanity-check the lint engine's
-//! `--format json` output before downstream tooling sees it.
+//! Schema check for the lint engine's `--format json` output, run on
+//! the exact bytes before downstream tooling sees them.
 //!
-//! `xtask` stays dependency-free, so this is a ~hundred-line
-//! recursive-descent parser over the grammar we emit (objects, arrays,
-//! strings with escapes, integers, bools, null) plus a schema check for
-//! the lint document: `{"version":1,"count":N,"diagnostics":[…]}` where
-//! every diagnostic carries `file`/`line`/`col`/`rule`/`severity`/
-//! `message` of the right types and `count` equals the array length.
-//! The `ci` lint stage runs [`validate_lint_json`] on the exact bytes
-//! it prints, so a malformed document fails the gate rather than some
-//! consumer's parser at 2 a.m.
+//! The document is read by the repo's one JSON reader
+//! ([`crate::json`], the experiments crate's `json.rs` mounted with
+//! `#[path]`, so `xtask` stays dependency-free) and then held to the
+//! schema the engine promises:
+//! `{"version":1,"count":N,"diagnostics":[…]}` where every diagnostic
+//! carries `file`/`line`/`col`/`rule`/`severity`/`message` of the right
+//! types and `count` equals the array length. The `ci` lint stage runs
+//! [`validate_lint_json`] on the bytes it prints, so a malformed
+//! document fails the gate rather than some consumer's parser at 2 a.m.
 
-/// A parsed JSON value (numbers are kept as `f64`; the lint schema only
-/// uses non-negative integers, validated separately).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number literal.
-    Num(f64),
-    /// A string literal, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object as (key, value) pairs in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Look up a key in an object value.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document, rejecting trailing garbage.
-pub fn parse(src: &str) -> Result<Json, String> {
-    let b = src.as_bytes();
-    let mut i = 0;
-    let v = parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing bytes at offset {i}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && b[*i].is_ascii_whitespace() {
-        *i += 1;
-    }
-}
-
-fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, i);
-    if b.get(*i) == Some(&c) {
-        *i += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at offset {i}", c as char, i = *i))
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => {
-            *i += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, i);
-                let key = match parse_value(b, i)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key is not a string at offset {i}", i = *i)),
-                };
-                expect(b, i, b':')?;
-                let val = parse_value(b, i)?;
-                pairs.push((key, val));
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {i}", i = *i)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            let mut items = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, i)?);
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at offset {i}", i = *i)),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, i).map(Json::Str),
-        Some(b't') if b[*i..].starts_with(b"true") => {
-            *i += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*i..].starts_with(b"false") => {
-            *i += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*i..].starts_with(b"null") => {
-            *i += 4;
-            Ok(Json::Null)
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *i;
-            *i += 1;
-            while *i < b.len()
-                && (b[*i].is_ascii_digit()
-                    || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                *i += 1;
-            }
-            std::str::from_utf8(&b[start..*i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at offset {start}"))
-        }
-        _ => Err(format!("unexpected byte at offset {i}", i = *i)),
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b.get(*i), Some(&b'"'));
-    *i += 1;
-    let mut out = Vec::new();
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return String::from_utf8(out).map_err(|e| e.to_string());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*i + 1..*i + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at offset {i}", i = *i))?;
-                        let c = char::from_u32(hex).unwrap_or('\u{FFFD}');
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        *i += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {i}", i = *i)),
-                }
-                *i += 1;
-            }
-            c => {
-                out.push(c);
-                *i += 1;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
+use crate::json::Json;
 
 /// Validate a lint `--format json` document against the schema the
 /// engine promises (see [`crate::engine::to_json`]).
 pub fn validate_lint_json(src: &str) -> Result<(), String> {
-    let doc = parse(src)?;
-    let version = doc.get("version").ok_or("missing `version`")?;
-    if *version != Json::Num(1.0) {
-        return Err(format!("unsupported version {version:?}"));
+    let doc = Json::parse(src)?;
+    if doc.u64_field("version")? != 1 {
+        return Err(format!("unsupported version {:?}", doc.get("version")));
     }
-    let count = match doc.get("count") {
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as usize,
-        other => return Err(format!("bad `count`: {other:?}")),
-    };
-    let diags = match doc.get("diagnostics") {
-        Some(Json::Arr(items)) => items,
-        other => return Err(format!("bad `diagnostics`: {other:?}")),
-    };
+    let count = doc.u64_field("count")? as usize;
+    let diags = doc
+        .get("diagnostics")
+        .and_then(Json::as_arr)
+        .ok_or("field `diagnostics` must be an array")?;
     if diags.len() != count {
         return Err(format!(
             "`count` is {count} but `diagnostics` has {} entries",
@@ -217,23 +32,20 @@ pub fn validate_lint_json(src: &str) -> Result<(), String> {
         ));
     }
     for (idx, d) in diags.iter().enumerate() {
-        let str_field = |k: &str| match d.get(k) {
-            Some(Json::Str(s)) if !s.is_empty() => Ok(s.clone()),
-            other => Err(format!("diagnostic {idx}: bad `{k}`: {other:?}")),
+        let check = || {
+            for key in ["file", "rule", "message"] {
+                if d.str_field(key)?.is_empty() {
+                    return Err(format!("field `{key}` is empty"));
+                }
+            }
+            d.u64_field("line")?;
+            d.u64_field("col")?;
+            match d.str_field("severity")? {
+                "deny" | "warn" => Ok(()),
+                sev => Err(format!("bad severity `{sev}`")),
+            }
         };
-        let num_field = |k: &str| match d.get(k) {
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            other => Err(format!("diagnostic {idx}: bad `{k}`: {other:?}")),
-        };
-        str_field("file")?;
-        num_field("line")?;
-        num_field("col")?;
-        str_field("rule")?;
-        str_field("message")?;
-        let sev = str_field("severity")?;
-        if sev != "deny" && sev != "warn" {
-            return Err(format!("diagnostic {idx}: bad severity `{sev}`"));
-        }
+        check().map_err(|e| format!("diagnostic {idx}: {e}"))?;
     }
     Ok(())
 }
@@ -241,30 +53,6 @@ pub fn validate_lint_json(src: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_nested_documents() {
-        let v = parse(r#"{"a":[1,2,{"b":"c"}],"d":true,"e":null,"f":-1.5e2}"#).unwrap();
-        assert_eq!(v.get("d"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("f"), Some(&Json::Num(-150.0)));
-        match v.get("a") {
-            Some(Json::Arr(items)) => assert_eq!(items.len(), 3),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn unescapes_strings() {
-        let v = parse(r#""a\"b\\c\ndA""#).unwrap();
-        assert_eq!(v, Json::Str("a\"b\\c\ndA".into()));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["{", "[1,", "{\"a\":}", "{\"a\":1} extra", "\"unterminated"] {
-            assert!(parse(bad).is_err(), "{bad}");
-        }
-    }
 
     #[test]
     fn schema_accepts_valid_and_rejects_drift() {

@@ -13,18 +13,24 @@
 //! * [`rules`] — the registry: nine rules migrated from the substring
 //!   era plus the determinism family (`no-hash-iter`,
 //!   `no-thread-outside-runner`, `no-ambient-entropy`,
-//!   `no-raw-tick-arith`, `exhaustive-kind-tags`).
+//!   `no-raw-tick-arith`, `no-process-env-in-lib`,
+//!   `exhaustive-kind-tags`).
 //! * [`lint`] — the driver `cargo xtask lint` calls, and the generated
 //!   rule table.
 //! * [`legacy`] — the retired substring engine, kept as the
 //!   differential oracle the self-tests compare against.
-//! * [`jsonck`] — a minimal JSON parser that schema-checks the lint
-//!   engine's own `--format json` output in `ci`.
+//! * [`json`] — the repo's one JSON reader: `tcn-experiments`' `json.rs`
+//!   mounted with `#[path]`, so the two crates share a file without a
+//!   dependency edge.
+//! * [`jsonck`] — the schema check `ci` runs on the lint engine's own
+//!   `--format json` output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
+#[path = "../../crates/experiments/src/json.rs"]
+pub mod json;
 pub mod jsonck;
 pub mod legacy;
 pub mod lex;

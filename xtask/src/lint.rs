@@ -42,6 +42,7 @@
 //! | `exhaustive-kind-tags` | deny | every `.rs` file (fires where `enum TcnError` is defined) | a `TcnError` variant without a doc comment or without an explicit stable string tag in `kind()` |
 //! | `scenario-step-doc` | deny | every `.rs` file (fires where `enum StepMutation` is defined) | a `StepMutation` variant whose doc comment lacks a unique backticked `step:<tag>` marker |
 //! | `cc-doc-cite` | deny | `crates/transport/src` | a congestion controller whose doc comment never cites its source RFC/paper section (`§`) |
+//! | `no-process-env-in-lib` | deny | library `src/` trees except `src/bin/` and `main.rs` (so not `benches/`, `examples/`, `tests/`, `xtask/`) | `env::args` / `env::var` / `env::set_var` (and kin) in library code — take the value as an argument from the binary's `RunOptions` |
 //! | `unused-allow` | deny | every `.rs` file | a `lint:allow(<rule>)` escape that suppresses zero diagnostics (stale or unknown rule) — delete it |
 
 use std::path::Path;

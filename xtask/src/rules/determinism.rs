@@ -1,13 +1,15 @@
 //! The determinism rule family: the byte-identity discipline that makes
 //! a sweep reproducible from `(config, seed)` alone. Each rule names one
 //! way nondeterminism historically sneaks into a DES — hash-order
-//! iteration, ambient threads, ambient entropy, wall clocks, and raw
-//! arithmetic on tick counts outside the checked `Time` sanctuary.
+//! iteration, ambient threads, ambient entropy, wall clocks, hidden
+//! inputs read from the process environment, and raw arithmetic on tick
+//! counts outside the checked `Time` sanctuary.
 
 use crate::engine::{Diagnostic, Rule, Scope, SourceFile};
 use crate::lex::TokenKind;
 use crate::rules::{
-    diag_at, every_file, outside_time_sanctuary, seq_at, thread_scope, wallclock_scope, Pat,
+    diag_at, env_scope, every_file, outside_time_sanctuary, seq_at, thread_scope, wallclock_scope,
+    Pat,
 };
 
 /// `no-float-time`: raw tick counts must not be cast to floats outside
@@ -237,6 +239,54 @@ impl Rule for NoAmbientEntropy {
     }
 }
 
+/// `no-process-env-in-lib`: library code reading (or writing) the
+/// process arguments or environment. A result must be a function of
+/// values handed down from the binary edge — `RunOptions::parse` in the
+/// experiments crate is the one reader — or "what produced this file"
+/// has no answer. `env::temp_dir`, `env!` and `option_env!` are not
+/// run inputs and stay legal. Tests get no exemption: a unit test that
+/// reads the environment passes or fails by who runs it.
+pub struct NoProcessEnvInLib;
+
+const PROCESS_ENV_FNS: &[&str] =
+    &["args", "args_os", "var", "var_os", "vars", "set_var", "remove_var"];
+
+impl Rule for NoProcessEnvInLib {
+    fn id(&self) -> &'static str {
+        "no-process-env-in-lib"
+    }
+    fn summary(&self) -> &'static str {
+        "`env::args` / `env::var` / `env::set_var` (and kin) in library code — take the value as an argument from the binary's `RunOptions`"
+    }
+    fn scope(&self) -> Scope {
+        Scope {
+            desc: "library `src/` trees except `src/bin/` and `main.rs` (so not `benches/`, `examples/`, `tests/`, `xtask/`)",
+            applies: env_scope,
+        }
+    }
+    fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
+        let code = &file.code;
+        for i in 0..code.len() {
+            if !seq_at(code, i, &[Pat::Id("env"), Pat::Pu("::"), Pat::AnyId]) {
+                continue;
+            }
+            let name = code[i + 2].text.as_str();
+            if PROCESS_ENV_FNS.contains(&name) {
+                out.push(diag_at(
+                    file,
+                    &code[i],
+                    self.id(),
+                    format!(
+                        "`env::{name}` makes the process environment a hidden input of \
+                         library code — parse it once at the binary edge \
+                         (`RunOptions::parse`) and pass the value down"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 /// `no-raw-tick-arith`: `+`/`-` on raw `.as_ps()`-style tick counts
 /// outside the `Time` sanctuary. Raw u64 arithmetic wraps silently in
 /// release builds; `Time`'s own operators are overflow-checked, so the
@@ -428,6 +478,26 @@ mod tests {
             assert_eq!(d.len(), 1, "{name}");
             assert!(d[0].message.contains(name), "{}", d[0].message);
         }
+    }
+
+    #[test]
+    fn process_env_reads_are_caught_in_lib_code_only() {
+        let src = "pub fn f() -> bool {\n    std::env::args().any(|a| a == \"--full\")\n}\n";
+        let d = lint_one("crates/experiments/src/figs.rs", src, Box::new(NoProcessEnvInLib));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 2);
+        for path in [
+            "crates/experiments/src/bin/figs.rs",
+            "crates/fake/src/main.rs",
+            "crates/bench/benches/figures.rs",
+            "examples/leaf_spine.rs",
+            "tests/determinism.rs",
+            "xtask/src/main.rs",
+        ] {
+            assert!(lint_one(path, src, Box::new(NoProcessEnvInLib)).is_empty(), "{path}");
+        }
+        let fine = "let d = std::env::temp_dir();\nlet m = env!(\"CARGO_MANIFEST_DIR\");\n";
+        assert!(lint_one("crates/net/src/x.rs", fine, Box::new(NoProcessEnvInLib)).is_empty());
     }
 
     #[test]

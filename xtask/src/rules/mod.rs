@@ -12,7 +12,7 @@
 //!   `scenario-step-doc`.
 //! * [`determinism`] — the byte-identity discipline: `no-float-time`,
 //!   `no-wallclock`, `no-hash-iter`, `no-thread-outside-runner`,
-//!   `no-ambient-entropy`, `no-raw-tick-arith`.
+//!   `no-ambient-entropy`, `no-raw-tick-arith`, `no-process-env-in-lib`.
 //!
 //! [`registry`] returns them all in table order; `unused-allow` (the
 //! engine-level stale-escape check) is registered last so it lists and
@@ -112,6 +112,12 @@ pub(crate) fn wallclock_scope(p: &Path) -> bool {
 pub(crate) fn thread_scope(p: &Path) -> bool {
     p != Path::new(THREAD_SANCTUARY)
         && !THREAD_SANCTUARY_PREFIXES.iter().any(|s| p.starts_with(s))
+}
+
+/// Library code that must not read the process environment: the
+/// library `src/` trees minus any `main.rs`.
+pub(crate) fn env_scope(p: &Path) -> bool {
+    in_lib_src(p) && !p.ends_with("main.rs")
 }
 
 /// Crate roots: any `src/lib.rs` or `src/main.rs`.
@@ -219,6 +225,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(docs::ExhaustiveKindTags),
         Box::new(docs::ScenarioStepDoc),
         Box::new(docs::CcDocCite),
+        Box::new(determinism::NoProcessEnvInLib),
         Box::new(UnusedAllow),
     ]
 }
@@ -317,11 +324,12 @@ mod tests {
             "exhaustive-kind-tags",
             "scenario-step-doc",
             "cc-doc-cite",
+            "no-process-env-in-lib",
             "unused-allow",
         ] {
             assert!(ids.contains(&d), "rule `{d}` missing");
         }
-        assert_eq!(rules.len(), 17);
+        assert_eq!(rules.len(), 18);
     }
 
     #[test]

@@ -52,6 +52,7 @@ const FIXTURE_PATHS: &[(&str, &str)] = &[
     ("exhaustive-kind-tags", "crates/core/src/error_fixture.rs"),
     ("scenario-step-doc", "crates/experiments/src/scenario/fixture.rs"),
     ("cc-doc-cite", "crates/transport/src/fixture.rs"),
+    ("no-process-env-in-lib", "crates/experiments/src/fixture.rs"),
     ("unused-allow", "crates/net/src/fixture.rs"),
 ];
 
