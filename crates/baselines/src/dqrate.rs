@@ -329,6 +329,24 @@ mod tests {
     }
 
     #[test]
+    fn fig2_large_thresh_is_unbiased_under_dwrr() {
+        // Remark 3's other side: the same DWRR turns with dq_thresh
+        // 40 KB > quantum 18 KB. Each sample spans rounds, so the estimate
+        // lands near the true 5 Gbps share.
+        let mut m = DqRateMeter::new(40_000, 0.875);
+        let mut now = Time::ZERO;
+        for _ in 0..500 {
+            for _ in 0..12 {
+                m.on_departure(100_000, 1500, now);
+                now += Time::from_ns(1200);
+            }
+            now += Time::from_ns(1200 * 12);
+        }
+        let avg = m.avg_rate().unwrap().as_gbps_f64();
+        assert!((avg - 5.0).abs() < 0.4, "40 KB estimate off: {avg}");
+    }
+
+    #[test]
     fn fig2_large_thresh_samples_slowly() {
         // Fig. 2(a): dq_thresh 40 KB at ~5 Gbps effective rate → one
         // sample per ~67 us, only ~29 samples in 2 ms.

@@ -132,11 +132,11 @@ pub fn parse_done(text: &str, config_hash: u64, cells: usize) -> Option<DoneCell
             if rec.kind()? != "cell" {
                 return Err("not a cell record".to_string());
             }
-            let cell = rec.u64_field("cell")? as usize;
+            let cell: usize = rec.int_field("cell")?;
             if cell >= cells {
                 return Err(format!("cell {cell} out of range"));
             }
-            let attempts = rec.u64_field("attempts")? as u32;
+            let attempts = rec.int_field("attempts")?;
             let payload = rec
                 .get("payload")
                 .ok_or_else(|| "missing payload".to_string())?;

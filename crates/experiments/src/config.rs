@@ -381,18 +381,18 @@ impl TopologyCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
         match v.kind().map_err(|e| format!("topology: {e}"))? {
             "single_switch" => Ok(TopologyCfg::SingleSwitch {
-                hosts: v.u64_field("hosts")? as usize,
+                hosts: v.int_field("hosts")?,
                 rate_gbps: v.u64_field("rate_gbps")?,
                 delay_us: us_field(v, "delay_us")?,
             }),
             "leaf_spine" => Ok(TopologyCfg::LeafSpine {
-                leaves: v.u64_field("leaves")? as usize,
-                spines: v.u64_field("spines")? as usize,
-                hosts_per_leaf: v.u64_field("hosts_per_leaf")? as usize,
+                leaves: v.int_field("leaves")?,
+                spines: v.int_field("spines")?,
+                hosts_per_leaf: v.int_field("hosts_per_leaf")?,
                 rate_gbps: v.u64_field("rate_gbps")?,
             }),
             "fat_tree" => Ok(TopologyCfg::FatTree {
-                k: v.u64_field("k")? as usize,
+                k: v.int_field("k")?,
                 rate_gbps: v.u64_field("rate_gbps")?,
             }),
             other => Err(unknown(
@@ -562,7 +562,7 @@ impl ToJson for AqmCfg {
 impl PortCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(PortCfg {
-            queues: v.u64_field("queues")? as usize,
+            queues: v.int_field("queues")?,
             buffer_bytes: v.u64_field("buffer_bytes")?,
             scheduler: sched_from_json(
                 v.get("scheduler").ok_or("port: missing field `scheduler`")?,
@@ -672,23 +672,23 @@ impl WorkloadCfg {
                     })
                     .collect::<Result<Vec<u8>, String>>()?;
                 Ok(WorkloadCfg::ManyToOne {
-                    flows: v.u64_field("flows")? as usize,
+                    flows: v.int_field("flows")?,
                     load: v.f64_field("load")?,
                     cdf: cdf_from_json(v.get("cdf").ok_or("workload: missing field `cdf`")?)?,
-                    receiver: v.u64_field("receiver")? as u32,
+                    receiver: v.int_field("receiver")?,
                     services,
                 })
             }
             "all_to_all" => Ok(WorkloadCfg::AllToAll {
-                flows: v.u64_field("flows")? as usize,
+                flows: v.int_field("flows")?,
                 load: v.f64_field("load")?,
-                services: v.u64_field("services")? as u8,
+                services: v.int_field("services")?,
             }),
             "incast" => Ok(WorkloadCfg::Incast {
-                fanout: v.u64_field("fanout")? as usize,
+                fanout: v.int_field("fanout")?,
                 size: v.u64_field("size")?,
-                waves: v.u64_field("waves")? as usize,
-                receiver: v.u64_field("receiver")? as u32,
+                waves: v.int_field("waves")?,
+                receiver: v.int_field("receiver")?,
             }),
             other => Err(unknown(
                 "workload kind",
@@ -745,7 +745,7 @@ impl ToJson for WorkloadCfg {
 impl FlapCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(FlapCfg {
-            link: v.u64_field("link")? as u32,
+            link: v.int_field("link")?,
             down_at_us: us_field(v, "down_at_us")?,
             up_at_us: opt_us_field(v, "up_at_us")?,
         })
@@ -1148,6 +1148,15 @@ mod tests {
             ("\"delay_us\": 62", "\"delay_us\": 99999999999999".into(), "field `delay_us`"),
             ("\"hosts\": 9", "\"hosts\": 1".into(), "topology"),
             ("0,\n      1,\n      2,\n      3\n    ]", "]".into(), "workload.services"),
+            // Past the field's integer type: wrapped, these would be a valid
+            // receiver 8 and link 1.
+            ("\"receiver\": 8", "\"receiver\": 4294967304".into(), "field `receiver`"),
+            (
+                "\"seed\": 1",
+                r#""faults": { "flaps": [{ "link": 4294967297, "down_at_us": 10 }] }, "seed": 1"#
+                    .into(),
+                "field `link`",
+            ),
         ];
         let example = example_json();
         for (from, to, field) in edits {
@@ -1161,6 +1170,17 @@ mod tests {
         let err = ExperimentCfg::from_json(&sp.replace("\"queues\": 4", "\"queues\": 1"));
         let err = err.expect_err("one queue under sp_dwrr");
         assert!(err.starts_with("invalid configuration: port.queues"), "{err}");
+        // `all_to_all` counts its services in a `u8`: wrapped, 256 and 260
+        // would be 0 and 4.
+        let a2a = example
+            .replace("many_to_one", "all_to_all")
+            .replace("[\n      0,\n      1,\n      2,\n      3\n    ]", "4");
+        assert!(ExperimentCfg::from_json(&a2a).is_ok());
+        for n in ["256", "260"] {
+            let err = ExperimentCfg::from_json(&a2a.replace("\"services\": 4", &format!("\"services\": {n}")));
+            let err = err.expect_err(n);
+            assert!(err.starts_with("invalid configuration: field `services`"), "{err}");
+        }
     }
 
     #[test]

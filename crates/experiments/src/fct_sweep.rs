@@ -228,8 +228,8 @@ impl SweepCell {
         Ok(SweepCell {
             scheme: j.str_field("scheme")?.to_string(),
             load: j.f64_field("load")?,
-            completed: j.u64_field("completed")? as usize,
-            flows: j.u64_field("flows")? as usize,
+            completed: j.int_field("completed")?,
+            flows: j.int_field("flows")?,
             overall_avg_us: j.f64_field("overall_avg_us")?,
             small_avg_us: j.f64_field("small_avg_us")?,
             small_p99_us: j.f64_field("small_p99_us")?,

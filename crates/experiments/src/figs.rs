@@ -5,8 +5,7 @@
 //! ([`RunOptions`], parsed once in `bin/figs.rs`) as an argument —
 //! nothing here reads the command line or the environment. Figs. 6–13
 //! are one parameterised sweep: what tells them apart is a row of
-//! [`SWEEPS`], which `figs <name>`, `figs trace <name>` and the
-//! `figures` bench all read.
+//! [`SWEEPS`], which `figs <name>` and `figs trace <name>` both read.
 
 use crate::common::{print_table, sweep_charts, Scale};
 use crate::fct_sweep::{self, Environment, SweepConfig};

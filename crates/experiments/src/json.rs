@@ -121,6 +121,13 @@ impl Json {
             .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
     }
 
+    /// Required integer field of an object, narrowed to `T`: a value `T`
+    /// cannot hold is a field-named error, never a silent truncation.
+    pub fn int_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = self.u64_field(key)?;
+        T::try_from(n).map_err(|_| format!("field `{key}` is out of range: {n}"))
+    }
+
     /// Required number field of an object.
     pub fn f64_field(&self, key: &str) -> Result<f64, String> {
         self.get(key)

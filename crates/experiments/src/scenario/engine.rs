@@ -79,8 +79,8 @@ impl ScenarioReport {
     pub fn from_json(v: &Json) -> Result<ScenarioReport, String> {
         Ok(ScenarioReport {
             id: v.str_field("id")?.to_string(),
-            flows: v.u64_field("flows")? as usize,
-            completed: v.u64_field("completed")? as usize,
+            flows: v.int_field("flows")?,
+            completed: v.int_field("completed")?,
             marks: v.u64_field("marks")?,
             drops: v.u64_field("drops")?,
             drain_drops: v.u64_field("drain_drops")?,

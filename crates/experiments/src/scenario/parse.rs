@@ -106,12 +106,10 @@ fn opt_str(v: &Json, key: &str, default: &str) -> Result<String, String> {
     }
 }
 
-fn opt_u64(v: &Json, key: &str, default: u64) -> Result<u64, String> {
+fn opt_int<T: TryFrom<u64>>(v: &Json, key: &str, default: T) -> Result<T, String> {
     match v.get(key) {
         None => Ok(default),
-        Some(j) => j
-            .as_u64()
-            .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
+        Some(_) => v.int_field(key),
     }
 }
 
@@ -155,16 +153,14 @@ fn link_sel(v: &Json) -> Result<LinkSel, String> {
     match v.get("link") {
         None => Ok(LinkSel::All),
         Some(Json::Str(s)) if s == "all" => Ok(LinkSel::All),
-        Some(j) => j
-            .as_u64()
-            .map(|l| LinkSel::One(l as u32))
-            .ok_or_else(|| "field `link` must be a link index or \"all\"".to_string()),
+        Some(j) if j.as_u64().is_some() => v.int_field("link").map(LinkSel::One),
+        Some(_) => Err("field `link` must be a link index or \"all\"".to_string()),
     }
 }
 
 /// A raw link index (required, numeric).
 fn link_index(v: &Json) -> Result<u32, String> {
-    v.u64_field("link").map(|l| l as u32)
+    v.int_field("link")
 }
 
 /// Parse `scheme: "tcn"` or `scheme: { kind: "tcn", threshold: "256us" }`.
@@ -195,7 +191,7 @@ fn parse_scheme(v: Option<&Json>) -> Result<Scheme, String> {
         "red" => {
             check_keys(obj, &["kind", "threshold"], "scheme")?;
             Ok(Scheme::RedQueue {
-                threshold: opt_u64(obj, "threshold", 32_000)?,
+                threshold: opt_int(obj, "threshold", 32_000)?,
             })
         }
         "droptail" => {
@@ -241,14 +237,14 @@ fn parse_base(v: Option<&Json>) -> Result<BaseConfig, String> {
         "base",
     )?;
     let base = BaseConfig {
-        hosts: opt_u64(v, "hosts", d.hosts as u64)? as usize,
-        queues: opt_u64(v, "queues", d.queues as u64)? as usize,
-        buffer: opt_u64(v, "buffer", d.buffer)?,
+        hosts: opt_int(v, "hosts", d.hosts)?,
+        queues: opt_int(v, "queues", d.queues)?,
+        buffer: opt_int(v, "buffer", d.buffer)?,
         scheme: parse_scheme(v.get("scheme"))?,
         sched: parse_sched(v.get("sched"))?,
-        flows: opt_u64(v, "flows", d.flows as u64)? as usize,
-        mean_flow_bytes: opt_u64(v, "mean_flow_bytes", d.mean_flow_bytes)?,
-        seed: opt_u64(v, "seed", d.seed)?,
+        flows: opt_int(v, "flows", d.flows)?,
+        mean_flow_bytes: opt_int(v, "mean_flow_bytes", d.mean_flow_bytes)?,
+        seed: opt_int(v, "seed", d.seed)?,
         horizon: opt_duration(v, "horizon", d.horizon)?,
         deadline: opt_duration(v, "deadline", d.deadline)?,
     };
@@ -338,28 +334,22 @@ fn parse_mutation(v: &Json) -> Result<StepMutation, String> {
         }
         "cc-switch" => {
             check_keys(v, &["kind", "service", "cc"], "do")?;
-            let service = v.u64_field("service")?;
-            if service > u64::from(u8::MAX) {
-                return Err("do: cc-switch service out of range".to_string());
-            }
+            let service = v.int_field("service")?;
             let name = v.str_field("cc")?;
             let cc = tcn_net::Cc::from_name(name).ok_or_else(|| {
                 format!("do: cc-switch unknown controller `{name}`")
             })?;
-            Ok(StepMutation::CcSwitch {
-                service: service as u8,
-                cc,
-            })
+            Ok(StepMutation::CcSwitch { service, cc })
         }
         "burst" => {
             check_keys(v, &["kind", "dst", "senders", "bytes"], "do")?;
-            let senders = opt_u64(v, "senders", 4)? as u32;
-            let bytes = opt_u64(v, "bytes", 64_000)?;
+            let senders: u32 = opt_int(v, "senders", 4)?;
+            let bytes = opt_int(v, "bytes", 64_000)?;
             if senders == 0 || bytes == 0 {
                 return Err("do: burst needs positive senders and bytes".to_string());
             }
             Ok(StepMutation::Burst {
-                dst: v.u64_field("dst")? as u32,
+                dst: v.int_field("dst")?,
                 senders,
                 bytes,
             })
@@ -399,7 +389,7 @@ pub fn parse_scenario(v: &Json) -> Result<Scenario, String> {
             .collect::<Result<Vec<_>, _>>()?,
     };
     let base = parse_base(v.get("base"))?;
-    let loops = opt_u64(v, "loop_scenario", 1)? as u32;
+    let loops: u32 = opt_int(v, "loop_scenario", 1)?;
     if loops == 0 {
         return Err("loop_scenario must be at least 1".to_string());
     }
@@ -697,5 +687,23 @@ mod tests {
         let zero_rate = r#"{ id: "x", steps: [{ at: "0ms", do: { kind: "link-rate", link: 1, mbps: 0 } }] }"#;
         let err = parse_scenario(&Json::parse_json5(zero_rate).unwrap()).unwrap_err();
         assert!(err.contains("mbps must be positive"), "{err}");
+    }
+
+    #[test]
+    fn integers_past_their_field_type_are_rejected() {
+        // 2^32 + 1 wrapped to a `u32` is 1: a valid link, host, sender
+        // count or loop count.
+        let big = 4_294_967_297u64;
+        let step = |action: String| format!(r#"{{ id: "x", steps: [{{ at: "0ms", do: {{ {action} }} }}] }}"#);
+        for (field, doc) in [
+            ("loop_scenario", format!(r#"{{ id: "x", loop_scenario: {big} }}"#)),
+            ("link", step(format!(r#"kind: "link-down", link: {big}"#))),
+            ("link", step(format!(r#"kind: "conditions", link: {big}"#))),
+            ("dst", step(format!(r#"kind: "burst", dst: {big}"#))),
+            ("senders", step(format!(r#"kind: "burst", dst: 1, senders: {big}"#))),
+        ] {
+            let err = parse_scenario(&Json::parse_json5(&doc).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("field `{field}` is out of range")), "{doc}: {err}");
+        }
     }
 }

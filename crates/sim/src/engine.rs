@@ -43,7 +43,7 @@
 //! `active` after a (possibly empty) advance step, and the global
 //! `(time, seq)` order is exactly the one the plain heap produces. That
 //! equivalence is enforced by a 10⁶-operation randomized differential
-//! test against [`HeapEventQueue`] (`tests/engine_differential.rs`).
+//! test against a plain binary-heap oracle (`tests/engine_differential.rs`).
 //!
 //! # Stepping to the next day allocates nothing
 //!
@@ -691,166 +691,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The straightforward single-binary-heap future-event list.
-///
-/// This is the original `EventQueue` implementation, kept as the
-/// *reference oracle*: the calendar-queue [`EventQueue`] must produce the
-/// identical `(time, seq)` pop order (proven by the randomized
-/// differential test in `tests/engine_differential.rs`), and the
-/// `perfbench` harness measures the calendar queue's pops/sec against
-/// this baseline in the same run. It carries no audit hooks — as the
-/// oracle it must stay an independent, obviously-correct restatement of
-/// the ordering contract.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<EventEntry<E>>,
-    now: Time,
-    next_seq: u64,
-    processed: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue with the clock at [`Time::ZERO`].
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            now: Time::ZERO,
-            next_seq: 0,
-            processed: 0,
-        }
-    }
-
-    /// Current simulated time: the firing time of the last popped event.
-    #[inline]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Number of events popped so far.
-    #[inline]
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Schedule `event` at the absolute instant `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: Time, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(EventEntry { at, seq, event });
-    }
-
-    /// Schedule `event` after a relative delay from `now()`.
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        let at = self.now.saturating_add(delay);
-        self.schedule_at(at, event);
-    }
-
-    /// Consume the next tie-break sequence number without scheduling
-    /// (the oracle mirror of [`EventQueue::reserve_seq`]).
-    #[inline]
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Schedule under a previously reserved sequence number (the oracle
-    /// mirror of [`EventQueue::schedule_at_reserved`]).
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past or `seq` was never reserved.
-    pub fn schedule_at_reserved(&mut self, at: Time, seq: u64, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < now {}",
-            self.now
-        );
-        assert!(
-            seq < self.next_seq,
-            "seq {seq} was never reserved (next_seq {})",
-            self.next_seq
-        );
-        self.heap.push(EventEntry { at, seq, event });
-    }
-
-    /// Pop the next event, advancing the clock to its firing time.
-    pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        self.processed += 1;
-        Some(entry)
-    }
-
-    /// Drain every event at the next firing time into `out` (the oracle
-    /// mirror of [`EventQueue::pop_batch_into`]). Returns the batch
-    /// size.
-    pub fn pop_batch_into(&mut self, out: &mut Vec<EventEntry<E>>) -> usize {
-        out.clear();
-        let Some(first) = self.heap.pop() else {
-            return 0;
-        };
-        let at = first.at;
-        out.push(first);
-        while let Some(top) = self.heap.peek() {
-            if top.at != at {
-                break;
-            }
-            let Some(e) = self.heap.pop() else { break };
-            out.push(e);
-        }
-        self.now = at;
-        self.processed += out.len() as u64;
-        out.len()
-    }
-
-    /// Return an undispatched batch tail (the oracle mirror of
-    /// [`EventQueue::unpop_batch_tail`]). `tail` is drained.
-    pub fn unpop_batch_tail(&mut self, tail: &mut Vec<EventEntry<E>>) {
-        self.processed -= tail.len() as u64;
-        for e in tail.drain(..) {
-            self.heap.push(e);
-        }
-    }
-
-    /// Firing time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop every pending event and restart sequence numbering (the
-    /// same semantics as [`EventQueue::clear`]).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1398,58 +1238,5 @@ mod tests {
         q.unpop_batch_tail(&mut empty);
         assert_eq!(q.processed(), 1);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn heap_queue_unpop_mirrors_engine() {
-        let mut q = HeapEventQueue::new();
-        let t = Time::from_us(3);
-        for i in 0..6 {
-            q.schedule_at(t, i);
-        }
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch_into(&mut batch), 6);
-        let mut tail: Vec<_> = batch.drain(2..).collect();
-        q.unpop_batch_tail(&mut tail);
-        assert_eq!(q.processed(), 2);
-        assert_eq!(q.pop_batch_into(&mut batch), 4);
-        assert_eq!(
-            batch.iter().map(|e| e.event).collect::<Vec<_>>(),
-            vec![2, 3, 4, 5]
-        );
-    }
-
-    #[test]
-    fn heap_queue_mirrors_batch_and_reservation() {
-        let mut q = HeapEventQueue::new();
-        let t = Time::from_us(2);
-        q.schedule_at(t, "a");
-        let held = q.reserve_seq();
-        q.schedule_at(t, "c");
-        q.schedule_at(Time::from_us(5), "d");
-        q.schedule_at_reserved(t, held, "b");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch_into(&mut batch), 3);
-        assert_eq!(
-            batch.iter().map(|e| e.event).collect::<Vec<_>>(),
-            vec!["a", "b", "c"]
-        );
-        assert_eq!(q.pop_batch_into(&mut batch), 1);
-        assert_eq!(batch[0].event, "d");
-        assert_eq!(q.pop_batch_into(&mut batch), 0);
-        assert_eq!(q.processed(), 4);
-    }
-
-    #[test]
-    fn reference_heap_queue_matches_basic_contract() {
-        let mut q = HeapEventQueue::new();
-        q.schedule_at(Time::from_ns(30), 3);
-        q.schedule_at(Time::from_ns(10), 1);
-        q.schedule_at(Time::from_ns(10), 2); // FIFO at equal time
-        assert_eq!(q.peek_time(), Some(Time::from_ns(10)));
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-        assert_eq!(q.processed(), 3);
-        assert_eq!(q.now(), Time::from_ns(30));
     }
 }

@@ -12,8 +12,8 @@
 //! * [`EventQueue`] — a monotonic future-event list with a total order
 //!   (time, insertion sequence) so same-timestamp events fire in a
 //!   deterministic order. Internally a calendar queue (bucketed near
-//!   horizon + sorted overflow); [`HeapEventQueue`] is the plain binary
-//!   heap it is differentially tested (and benchmarked) against.
+//!   horizon + sorted overflow), differentially tested against a plain
+//!   binary heap in `tests/engine_differential.rs`.
 //! * [`Rng`] — a self-contained xoshiro256** generator. We deliberately do
 //!   not depend on the `rand` crate for simulation draws so results cannot
 //!   change under us when `rand` revises its algorithms.
@@ -47,7 +47,7 @@ pub mod rng;
 pub mod time;
 
 pub use builder::SimBuilder;
-pub use engine::{EventEntry, EventQueue, HeapEventQueue, QueueStats};
+pub use engine::{EventEntry, EventQueue, QueueStats};
 pub use ewma::Ewma;
 pub use fault::{FaultKind, FaultPlan, LinkFaultProfile, LinkFlap};
 pub use rng::Rng;

@@ -4,7 +4,160 @@
 //! schedules, pops and clears — the proof obligation behind swapping the
 //! engine's future-event list implementation.
 
-use tcn_sim::{EventQueue, HeapEventQueue, QueueStats, Rng, Time};
+use std::collections::BinaryHeap;
+
+use tcn_sim::{EventEntry, EventQueue, QueueStats, Rng, Time};
+
+/// The straightforward single-binary-heap future-event list: the
+/// original `EventQueue` implementation, kept here as the *reference
+/// oracle*. It carries no audit hooks — as the oracle it must stay an
+/// independent, obviously-correct restatement of the ordering contract
+/// (`EventEntry`'s `Ord` pops the earliest `(at, seq)` first).
+#[derive(Debug, Clone)]
+struct HeapEventQueue<E> {
+    heap: BinaryHeap<EventEntry<E>>,
+    now: Time,
+    next_seq: u64,
+    processed: u64,
+}
+
+impl<E> HeapEventQueue<E> {
+    fn new() -> Self {
+        HeapEventQueue {
+            heap: BinaryHeap::new(),
+            now: Time::ZERO,
+            next_seq: 0,
+            processed: 0,
+        }
+    }
+
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn processed(&self) -> u64 {
+        self.processed
+    }
+
+    fn schedule_at(&mut self, at: Time, event: E) {
+        let seq = self.reserve_seq();
+        self.schedule_at_reserved(at, seq, event);
+    }
+
+    /// Mirror of `EventQueue::reserve_seq`.
+    fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Mirror of `EventQueue::schedule_at_reserved`.
+    fn schedule_at_reserved(&mut self, at: Time, seq: u64, event: E) {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: {at} < now {}",
+            self.now
+        );
+        assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        self.heap.push(EventEntry { at, seq, event });
+    }
+
+    fn pop(&mut self) -> Option<EventEntry<E>> {
+        let entry = self.heap.pop()?;
+        self.now = entry.at;
+        self.processed += 1;
+        Some(entry)
+    }
+
+    /// Mirror of `EventQueue::pop_batch_into`: every event at the next
+    /// firing time, in `(at, seq)` order.
+    fn pop_batch_into(&mut self, out: &mut Vec<EventEntry<E>>) -> usize {
+        out.clear();
+        let Some(first) = self.pop() else {
+            return 0;
+        };
+        let at = first.at;
+        out.push(first);
+        while self.peek_time() == Some(at) {
+            out.extend(self.pop());
+        }
+        out.len()
+    }
+
+    /// Mirror of `EventQueue::unpop_batch_tail`.
+    fn unpop_batch_tail(&mut self, tail: &mut Vec<EventEntry<E>>) {
+        self.processed -= tail.len() as u64;
+        self.heap.extend(tail.drain(..));
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Same semantics as `EventQueue::clear`: drop every pending event
+    /// and restart sequence numbering.
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.next_seq = 0;
+    }
+}
+
+#[test]
+fn heap_queue_unpop_mirrors_engine() {
+    let mut q = HeapEventQueue::new();
+    let t = Time::from_us(3);
+    for i in 0..6 {
+        q.schedule_at(t, i);
+    }
+    let mut batch = Vec::new();
+    assert_eq!(q.pop_batch_into(&mut batch), 6);
+    let mut tail: Vec<_> = batch.drain(2..).collect();
+    q.unpop_batch_tail(&mut tail);
+    assert_eq!(q.processed(), 2);
+    assert_eq!(q.pop_batch_into(&mut batch), 4);
+    assert_eq!(
+        batch.iter().map(|e| e.event).collect::<Vec<_>>(),
+        vec![2, 3, 4, 5]
+    );
+}
+
+#[test]
+fn heap_queue_mirrors_batch_and_reservation() {
+    let mut q = HeapEventQueue::new();
+    let t = Time::from_us(2);
+    q.schedule_at(t, "a");
+    let held = q.reserve_seq();
+    q.schedule_at(t, "c");
+    q.schedule_at(Time::from_us(5), "d");
+    q.schedule_at_reserved(t, held, "b");
+    let mut batch = Vec::new();
+    assert_eq!(q.pop_batch_into(&mut batch), 3);
+    assert_eq!(
+        batch.iter().map(|e| e.event).collect::<Vec<_>>(),
+        vec!["a", "b", "c"]
+    );
+    assert_eq!(q.pop_batch_into(&mut batch), 1);
+    assert_eq!(batch[0].event, "d");
+    assert_eq!(q.pop_batch_into(&mut batch), 0);
+    assert_eq!(q.processed(), 4);
+}
+
+#[test]
+fn reference_heap_queue_matches_basic_contract() {
+    let mut q = HeapEventQueue::new();
+    q.schedule_at(Time::from_ns(30), 3);
+    q.schedule_at(Time::from_ns(10), 1);
+    q.schedule_at(Time::from_ns(10), 2); // FIFO at equal time
+    assert_eq!(q.peek_time(), Some(Time::from_ns(10)));
+    let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+    assert_eq!(order, vec![1, 2, 3]);
+    assert_eq!(q.processed(), 3);
+    assert_eq!(q.now(), Time::from_ns(30));
+}
 
 /// Compare the two queues' `peek_time`, then pop both and compare the
 /// full entry. Returns whether there was an entry to pop.

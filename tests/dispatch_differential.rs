@@ -10,12 +10,18 @@
 //! on the reference loop through `NetworkSim::set_dispatch_mode` — a
 //! per-simulation seam, so nothing here is process-wide. Thread-count
 //! invariance is `determinism.rs`'s and `cc_differential.rs`'s job.
+//!
+//! `engine_counts_are_pinned` holds the engine's exact counts — arena,
+//! events per dispatch mode, `QueueStats` — at fixed values: they repeat
+//! on any host, so a change to what the simulator does moves one.
 
-use tcn_experiments::common::Scale;
+use tcn_experiments::common::{params, switch_port, Scale, SchedKind};
 use tcn_experiments::fct_sweep::{self, SweepConfig};
 use tcn_experiments::scenario::{engine, fuzz};
-use tcn_net::{DispatchMode, NetworkSim};
-use tcn_sim::Time;
+use tcn_experiments::Scheme;
+use tcn_net::{single_switch, DispatchMode, NetworkSim, TaggingPolicy, TransportChoice};
+use tcn_sim::{QueueStats, Rate, Rng, Time};
+use tcn_workloads::{gen_incast, gen_many_to_one, Workload};
 
 /// Run `sim` to completion under `mode` and render everything a figure
 /// could read from it. `events_processed` is deliberately absent:
@@ -91,4 +97,147 @@ fn fuzz_seeds_are_dispatch_mode_invariant() {
             &format!("fuzz seed {seed}"),
         );
     }
+}
+
+/// A 600-flow web-search fig6 testbed star under TCN: eight senders into
+/// one 1 Gbps DWRR port, load 0.7.
+fn fig6_star() -> NetworkSim {
+    let cfg = SweepConfig::fig6();
+    let scheme = Scheme::Tcn {
+        threshold: params::testbed::TCN_T,
+    };
+    let mut sim = single_switch(
+        9,
+        cfg.rate,
+        params::testbed::LINK_DELAY,
+        TransportChoice::TestbedDctcp.config(),
+        TaggingPolicy::Fixed,
+        || {
+            switch_port(
+                cfg.nqueues,
+                Some(cfg.buffer),
+                None,
+                cfg.sched,
+                scheme,
+                cfg.rate,
+                1500,
+                1,
+            )
+        },
+    )
+    .expect("topology is well-formed");
+    let mut rng = Rng::new(42);
+    let senders: Vec<u32> = (0..8).collect();
+    let services: Vec<u8> = (0..4).collect();
+    let cdf = Workload::WebSearch.cdf();
+    for f in gen_many_to_one(
+        &mut rng,
+        600,
+        &senders,
+        8,
+        &cdf,
+        0.7,
+        cfg.rate,
+        &services,
+        Time::ZERO,
+    ) {
+        sim.add_flow(f);
+    }
+    sim
+}
+
+/// 32 senders fire five synchronized 64 KB waves, 2 ms apart, at one
+/// receiver through a FIFO+TCN switch on 10 Gbps links: dense
+/// same-timestamp batches, and every port coalescing-eligible.
+fn incast_star() -> NetworkSim {
+    let rate = Rate::from_gbps(10);
+    let scheme = Scheme::Tcn {
+        threshold: params::sim::TCN_T_DCTCP,
+    };
+    let mut sim = single_switch(
+        33,
+        rate,
+        Time::from_us(20),
+        TransportChoice::SimDctcp.config(),
+        TaggingPolicy::Fixed,
+        || {
+            switch_port(
+                1,
+                Some(params::sim::BUFFER),
+                None,
+                SchedKind::Fifo,
+                scheme,
+                rate,
+                1500,
+                5,
+            )
+        },
+    )
+    .expect("topology is well-formed");
+    let senders: Vec<u32> = (0..32).collect();
+    let mut rng = Rng::new(77);
+    for w in 0..5 {
+        let at = Time::from_ms(2 * w + 1);
+        for spec in gen_incast(&mut rng, &senders, 32, 64_000, at, Time::ZERO, 0) {
+            sim.add_flow(spec);
+        }
+    }
+    sim
+}
+
+/// Run the incast under `mode`: `(events, FCT checksum, drops, QueueStats)`.
+fn incast_counts(mode: DispatchMode) -> (u64, u64, u64, QueueStats) {
+    let mut sim = incast_star();
+    sim.set_dispatch_mode(mode);
+    assert!(sim.run_to_completion(Time::from_secs(60)).expect("run"));
+    let fct_sum = sim.fct_records().iter().map(|r| r.fct.as_ps()).sum();
+    (
+        sim.events_processed(),
+        fct_sum,
+        sim.total_drops(),
+        sim.queue_stats(),
+    )
+}
+
+/// Exact counts that repeat on any host (DESIGN §7.2, §7.4–7.6): the
+/// packet arena stops allocating after 36 slots, and the batched drain
+/// with wake coalescing pops 47 575 events for the per-event loop's
+/// 68 988 on the same simulation.
+#[test]
+fn engine_counts_are_pinned() {
+    let mut star = fig6_star();
+    assert!(star
+        .run_to_completion(Time::from_secs(10_000))
+        .expect("run"));
+    let a = star.arena_stats();
+    assert_eq!(
+        (a.inserted, a.slot_allocs, a.recycled, a.high_water),
+        (2_789_192, 36, 2_789_156, 36),
+        "fig6 star arena counters"
+    );
+
+    let (per_event, pe_fct, pe_drops, _) = incast_counts(DispatchMode::PerEvent);
+    let (batched, ba_fct, ba_drops, stats) = incast_counts(DispatchMode::Batched);
+    assert_eq!(
+        (pe_fct, pe_drops),
+        (ba_fct, ba_drops),
+        "incast FCTs and drops differ by dispatch mode"
+    );
+    assert_eq!(
+        (per_event, batched),
+        (68_988, 47_575),
+        "incast events (per-event, batched)"
+    );
+    assert_eq!(
+        stats,
+        QueueStats {
+            advances: 10_309,
+            bucket_allocs: 85,
+            pool_high_water: 65,
+            overflow_pushes: 460,
+            overflow_migrated: 389,
+            active_high_water: 42,
+        },
+        "batched incast QueueStats"
+    );
 }

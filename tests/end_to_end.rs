@@ -206,3 +206,62 @@ fn ecnstar_and_dctcp_both_sustain_line_rate() {
         assert!(gbps > 8.5, "throughput {gbps} Gbps under {:?}", cfg.cc);
     }
 }
+
+/// 400 web-search flows at load 0.7 from eight senders into one 1 Gbps
+/// port with four equal DWRR queues, marked by TCN at `threshold`.
+fn dwrr_star_fcts(threshold: Time) -> FctBreakdown {
+    let mut sim = single_switch(
+        9,
+        Rate::from_gbps(1),
+        Time::from_us(62),
+        TcpConfig::preset(Cc::Dctcp).testbed(),
+        TaggingPolicy::Fixed,
+        move || PortSetup {
+            nqueues: 4,
+            buffer: Some(96_000),
+            tx_rate: None,
+            make_sched: Box::new(|| Box::new(Dwrr::equal(4, 1_500))),
+            make_aqm: Box::new(move || Box::new(Tcn::new(threshold))),
+        },
+    )
+    .expect("topology is well-formed");
+    let mut rng = Rng::new(2);
+    let senders: Vec<u32> = (0..8).collect();
+    for spec in gen_many_to_one(
+        &mut rng,
+        400,
+        &senders,
+        8,
+        &Workload::WebSearch.cdf(),
+        0.7,
+        Rate::from_gbps(1),
+        &[0, 1, 2, 3],
+        Time::ZERO,
+    ) {
+        sim.add_flow(spec);
+    }
+    assert!(sim.run_to_completion(Time::from_secs(1_000)).expect("run"));
+    FctBreakdown::from_records(&sim.fct_records())
+}
+
+#[test]
+fn tcn_threshold_trades_small_flow_latency_against_throughput() {
+    // The paper's T = RTT × λ (Eq. 3) is 256 µs here. A grossly
+    // oversized T lets queues build, so small flows wait longer; an
+    // undersized one marks away throughput, so large flows gain nothing.
+    let tight = dwrr_star_fcts(Time::from_us(64));
+    let paper = dwrr_star_fcts(Time::from_us(256));
+    let loose = dwrr_star_fcts(Time::from_us(2048));
+    assert!(
+        loose.small_avg_us > paper.small_avg_us,
+        "oversized T should inflate small-flow FCT: {} vs {} us",
+        loose.small_avg_us,
+        paper.small_avg_us
+    );
+    assert!(
+        tight.large_avg_us >= paper.large_avg_us * 0.95,
+        "undersized T must not beat the paper's T on large flows: {} vs {} us",
+        tight.large_avg_us,
+        paper.large_avg_us
+    );
+}

@@ -18,13 +18,6 @@
 //! * `test-all` — `cargo test -q --workspace` (every crate's suites;
 //!   much slower — the experiments crate simulates full FCT sweeps in
 //!   debug mode with the audit hooks live).
-//! * `bench` — build and run the `perfbench` baseline harness in
-//!   release mode, rewriting the checked-in `BENCH_engine.json` and
-//!   `BENCH_sweep.json` at the repo root. With `--smoke`, writes
-//!   nothing and only *compares*: the rows that repeat exactly (event
-//!   and pop counts, work per pop, `QueueStats`, arena counters) must
-//!   equal the checked-in baseline; the wall-clock ratios print and gate
-//!   nothing.
 //! * `ci`    — build, then test, then tier-1 again in release with
 //!   `--features audit` (every runtime invariant checker live), then
 //!   `lint-selftest` (the xtask test suite: lexer units, rule
@@ -39,7 +32,7 @@
 //!   stage (eight fixed scenario-fuzzer seeds, zero violations
 //!   expected), then a cc smoke stage (the mixed-tenant
 //!   DCTCP/CUBIC/BBR figure at `--quick` with its JSONL trace
-//!   schema-validated), then `bench --smoke`, then a benchmark verify
+//!   schema-validated), then a benchmark verify
 //!   stage (the benchmark harness's own unit tests, and its `verify`:
 //!   the benchmark's cells still equal the figure code's): the tier-1
 //!   gate in one command. Stops at the first failing stage.
@@ -65,15 +58,8 @@ fn main() -> ExitCode {
         Some("build") => run_cargo(&repo, &["build", "--release", "--workspace"]),
         Some("test") => run_cargo(&repo, &["test", "-q"]),
         Some("test-all") => run_cargo(&repo, &["test", "-q", "--workspace"]),
-        Some("bench") => {
-            if args.iter().any(|a| a == "--smoke") {
-                run_bench_smoke(&repo)
-            } else {
-                run_cargo(&repo, &["run", "--release", "-p", "tcn-bench", "--bin", "perfbench"])
-            }
-        }
         Some("ci") => {
-            let stages: [(&str, fn(&Path) -> ExitCode); 12] = [
+            let stages: [(&str, fn(&Path) -> ExitCode); 11] = [
                 ("build", |r| run_cargo(r, &["build", "--release", "--workspace"])),
                 ("test", |r| run_cargo(r, &["test", "-q"])),
                 // Tier-1 again in release with every runtime invariant
@@ -111,10 +97,6 @@ fn main() -> ExitCode {
                 // CUBIC and BBR sharing one port), the ECN-capability
                 // split, and the CC telemetry events agree end to end.
                 ("cc (smoke)", run_cc_smoke),
-                // The deterministic rows of `BENCH_engine.json` (event
-                // and pop counts, `QueueStats`, arena counters) at 0 %
-                // tolerance; wall-clock ratios print and gate nothing.
-                ("bench (smoke)", run_bench_smoke),
                 // The benchmark harness's unit tests (no other stage
                 // runs them), then its `verify`: a change that moved a
                 // benchmark cell's bytes fails here, before the PR
@@ -134,7 +116,7 @@ fn main() -> ExitCode {
         }
         Some("help") | None => {
             eprintln!(
-                "usage: cargo xtask <lint|build|test|test-all|bench|ci>\n\
+                "usage: cargo xtask <lint|build|test|test-all|ci>\n\
                  \n\
                  lint      token-level static analysis (18 rules: panic/print\n\
                  \x20         discipline, unsafe bans, doc provenance, and the\n\
@@ -146,12 +128,10 @@ fn main() -> ExitCode {
                  build     cargo build --release --workspace\n\
                  test      cargo test -q (tier-1 test set)\n\
                  test-all  cargo test -q --workspace (slow, every crate)\n\
-                 bench     run perfbench, rewrite BENCH_*.json baselines\n\
-                 \x20         (--smoke: compare-only regression gate)\n\
                  ci        build + test + test(audit) + lint-selftest +\n\
                  \x20         lint(json) + telemetry(smoke) + resume(smoke) +\n\
                  \x20         scenario(smoke) + fuzz(smoke) + cc(smoke) +\n\
-                 \x20         bench(smoke) + benchmark(verify)\n\
+                 \x20         benchmark(verify)\n\
                  \x20         (the tier-1 gate)"
             );
             if args.is_empty() {
@@ -442,15 +422,6 @@ fn run_fuzz_smoke(repo: &Path) -> ExitCode {
         &[
             "run", "--release", "-p", "tcn-experiments", "--bin", "figs", "--", "fuzz", "--seeds",
             "8",
-        ],
-    )
-}
-
-fn run_bench_smoke(repo: &Path) -> ExitCode {
-    run_cargo(
-        repo,
-        &[
-            "run", "--release", "-p", "tcn-bench", "--bin", "perfbench", "--", "--smoke",
         ],
     )
 }

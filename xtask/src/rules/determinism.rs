@@ -460,7 +460,12 @@ mod tests {
             Box::new(NoThreadOutsideRunner)
         )
         .is_empty());
-        assert!(lint_one("crates/bench/src/lib.rs", src, Box::new(NoThreadOutsideRunner)).is_empty());
+        assert!(lint_one(
+            "crates/bench/src/bin/benchmark/measure.rs",
+            src,
+            Box::new(NoThreadOutsideRunner)
+        )
+        .is_empty());
     }
 
     #[test]
@@ -489,7 +494,7 @@ mod tests {
         for path in [
             "crates/experiments/src/bin/figs.rs",
             "crates/fake/src/main.rs",
-            "crates/bench/benches/figures.rs",
+            "crates/sim/tests/engine_differential.rs",
             "examples/leaf_spine.rs",
             "tests/determinism.rs",
             "xtask/src/main.rs",

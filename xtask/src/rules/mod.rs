@@ -360,7 +360,7 @@ mod tests {
         assert!(!wallclock_scope(&p("xtask/src/main.rs")));
         assert!(!thread_scope(&p("crates/experiments/src/runner.rs")));
         assert!(thread_scope(&p("crates/experiments/src/figs.rs")));
-        assert!(!thread_scope(&p("crates/bench/src/bin/perfbench.rs")));
+        assert!(!thread_scope(&p("crates/bench/src/bin/benchmark/measure.rs")));
         assert!(crate_root(&p("crates/net/src/lib.rs")));
         assert!(crate_root(&p("xtask/src/main.rs")));
         assert!(!crate_root(&p("crates/net/src/port.rs")));
