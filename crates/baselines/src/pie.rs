@@ -1,8 +1,8 @@
 //! PIE — Proportional Integral controller Enhanced (Pan et al., HPSR
 //! 2013) — included as an extension baseline: it is reference \[25\] of the
 //! paper and the origin of the Algorithm 1 departure-rate meter, so
-//! having it runnable lets the ablation benches compare TCN against the
-//! AQM the meter was designed for.
+//! having it runnable (`Scheme::Pie` in the experiments) lets TCN be
+//! compared against the AQM the meter was designed for.
 //!
 //! Faithful outline of the published controller (mark mode):
 //!

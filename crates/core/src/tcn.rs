@@ -182,8 +182,7 @@ impl ProbabilisticTcn {
         }
     }
 
-    /// Marking probability for a given sojourn time (exposed for tests
-    /// and for the fairness ablation bench).
+    /// Marking probability for a given sojourn time (exposed for tests).
     pub fn mark_probability(&self, sojourn: Time) -> f64 {
         if sojourn < self.t_min {
             0.0

@@ -35,7 +35,7 @@ use crate::port::{Port, PortSetup};
 use crate::routing::{
     compute_routes, compute_routes_partial, ecmp_pick, RouteTable, TopoView,
 };
-use crate::watchdog::{Watchdog, NUM_EVENT_KINDS};
+use crate::watchdog::Watchdog;
 
 /// Node index (hosts and switches share one id space).
 pub type NodeId = u32;
@@ -908,13 +908,7 @@ impl NetworkSim {
     pub fn run_until(&mut self, t: Time) -> Result<(), TcnError> {
         match self.dispatch {
             DispatchMode::PerEvent => {
-                while let Some(at) = self.events.peek_time() {
-                    if at > t {
-                        break;
-                    }
-                    let Some(entry) = self.events.pop() else {
-                        break;
-                    };
+                while let Some(entry) = self.events.pop_until(t) {
                     self.observe_event(&entry.event, entry.at)?;
                     self.dispatch_event(entry.event, entry.at)?;
                 }
@@ -941,13 +935,7 @@ impl NetworkSim {
         t: Time,
         batch: &mut Vec<EventEntry<Event>>,
     ) -> Result<(), TcnError> {
-        while let Some(at) = self.events.peek_time() {
-            if at > t {
-                break;
-            }
-            if self.events.pop_batch_into(batch) == 0 {
-                break;
-            }
+        while self.events.pop_batch_until(t, batch) > 0 {
             self.materialize_held_wakes(batch);
             self.observe_batch(batch)?;
             for entry in batch.drain(..) {
@@ -1004,17 +992,13 @@ impl NetworkSim {
     }
 
     /// Account a whole same-instant batch with the watchdog, if
-    /// installed: one call with per-kind counts instead of one call per
-    /// event.
+    /// installed: one call per batch instead of one call per event.
     fn observe_batch(&mut self, batch: &[EventEntry<Event>]) -> Result<(), TcnError> {
         if let Some(wd) = &mut self.watchdog {
-            let mut kinds = [0u64; NUM_EVENT_KINDS];
-            for e in batch {
-                kinds[e.event.kind_index()] += 1;
-            }
             let depth = self.events.len();
             let processed = self.events.processed();
-            wd.observe_batch(batch[0].at, &kinds, depth, processed)?;
+            let kinds = batch.iter().map(|e| e.event.kind_index());
+            wd.observe_batch(batch[0].at, kinds, depth, processed)?;
         }
         Ok(())
     }
@@ -1051,16 +1035,11 @@ impl NetworkSim {
         match self.dispatch {
             DispatchMode::PerEvent => {
                 while self.completed < self.flows.len() {
-                    match self.events.peek_time() {
-                        Some(at) if at <= deadline => {
-                            let Some(entry) = self.events.pop() else {
-                                break;
-                            };
-                            self.observe_event(&entry.event, entry.at)?;
-                            self.dispatch_event(entry.event, entry.at)?;
-                        }
-                        _ => break,
-                    }
+                    let Some(entry) = self.events.pop_until(deadline) else {
+                        break;
+                    };
+                    self.observe_event(&entry.event, entry.at)?;
+                    self.dispatch_event(entry.event, entry.at)?;
                 }
             }
             DispatchMode::Batched => {
@@ -1086,26 +1065,17 @@ impl NetworkSim {
         deadline: Time,
         batch: &mut Vec<EventEntry<Event>>,
     ) -> Result<(), TcnError> {
-        while self.completed < self.flows.len() {
-            match self.events.peek_time() {
-                Some(at) if at <= deadline => {
-                    if self.events.pop_batch_into(batch) == 0 {
-                        break;
-                    }
-                    self.materialize_held_wakes(batch);
-                    self.observe_batch(batch)?;
-                    let mut it = batch.drain(..);
-                    while let Some(entry) = it.next() {
-                        if self.completed >= self.flows.len() {
-                            let mut tail: Vec<_> =
-                                std::iter::once(entry).chain(it).collect();
-                            self.events.unpop_batch_tail(&mut tail);
-                            break;
-                        }
-                        self.dispatch_event(entry.event, entry.at)?;
-                    }
+        while self.completed < self.flows.len() && self.events.pop_batch_until(deadline, batch) > 0 {
+            self.materialize_held_wakes(batch);
+            self.observe_batch(batch)?;
+            let mut it = batch.drain(..);
+            while let Some(entry) = it.next() {
+                if self.completed >= self.flows.len() {
+                    let mut tail: Vec<_> = std::iter::once(entry).chain(it).collect();
+                    self.events.unpop_batch_tail(&mut tail);
+                    break;
                 }
-                _ => break,
+                self.dispatch_event(entry.event, entry.at)?;
             }
         }
         Ok(())

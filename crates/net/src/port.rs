@@ -399,11 +399,15 @@ impl Port {
                 };
                 self.aqm.on_dequeue(&view, q, &mut pkt, now)
             };
-            self.audit.aqm.on_dequeue_verdict(
-                self.aqm.name(),
-                self.aqm.marks_only(),
-                verdict == DequeueVerdict::Drop,
-            );
+            // The two virtual calls feed a check that compiles to nothing
+            // with auditing off.
+            if tcn_audit::active() {
+                self.audit.aqm.on_dequeue_verdict(
+                    self.aqm.name(),
+                    self.aqm.marks_only(),
+                    verdict == DequeueVerdict::Drop,
+                );
+            }
             match verdict {
                 DequeueVerdict::Forward => {
                     let sojourn_ps = pkt.sojourn(now).as_ps();

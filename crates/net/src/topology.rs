@@ -70,7 +70,8 @@ pub fn single_switch_downlink(host: u32) -> usize {
 }
 
 /// A dumbbell: `n_left` hosts on switch A, `n_right` hosts on switch B,
-/// one bottleneck link A→B (and back). Used by the ablation benches.
+/// one bottleneck link A→B (and back): the Fig. 1 shape, also built by
+/// `NetworkBuilder::dumbbell`.
 ///
 /// # Errors
 /// [`TcnError::Topology`] if the resulting fabric is not fully routable.

@@ -47,12 +47,13 @@ pub struct Watchdog {
     stall_budget: u64,
     total_budget: Option<u64>,
     last_time: Time,
-    since_advance: u64,
     total: u64,
-    /// Event kinds dispatched since the last clock advance.
-    stall_kinds: [u64; NUM_EVENT_KINDS],
     /// Event kinds dispatched over the whole run.
     total_kinds: [u64; NUM_EVENT_KINDS],
+    /// `total` and `total_kinds` as they stood when the clock last
+    /// advanced: the events since then are the difference.
+    total_at_advance: u64,
+    kinds_at_advance: [u64; NUM_EVENT_KINDS],
 }
 
 impl Watchdog {
@@ -68,10 +69,10 @@ impl Watchdog {
             stall_budget,
             total_budget: None,
             last_time: Time::ZERO,
-            since_advance: 0,
             total: 0,
-            stall_kinds: [0; NUM_EVENT_KINDS],
             total_kinds: [0; NUM_EVENT_KINDS],
+            total_at_advance: 0,
+            kinds_at_advance: [0; NUM_EVENT_KINDS],
         }
     }
 
@@ -108,42 +109,15 @@ impl Watchdog {
         queue_depth: usize,
         processed: u64,
     ) -> Result<(), TcnError> {
-        if now > self.last_time {
-            self.last_time = now;
-            self.since_advance = 0;
-            self.stall_kinds = [0; NUM_EVENT_KINDS];
-        }
-        self.since_advance += 1;
-        self.total += 1;
-        self.stall_kinds[kind] += 1;
-        self.total_kinds[kind] += 1;
-        if self.since_advance > self.stall_budget {
-            return Err(TcnError::Stall(self.report(
-                now,
-                queue_depth,
-                processed,
-                false,
-                self.stall_budget,
-            )));
-        }
-        if let Some(budget) = self.total_budget {
-            if self.total > budget {
-                return Err(TcnError::Stall(self.report(
-                    now,
-                    queue_depth,
-                    processed,
-                    true,
-                    budget,
-                )));
-            }
-        }
-        Ok(())
+        self.observe_batch(now, [kind], queue_depth, processed)
     }
 
     /// Account a whole same-instant batch of events at once — the
     /// batched run loop's amortized equivalent of per-event
-    /// [`observe`](Self::observe). `kinds` counts the batch per event
-    /// kind (indexed like [`EVENT_KIND_NAMES`]). Repeated batches at
+    /// [`observe`](Self::observe). `kinds` yields each event's kind
+    /// (indexed like [`EVENT_KIND_NAMES`]), counted straight into the
+    /// run totals; the per-instant counts are the totals minus a
+    /// snapshot taken when the clock last advanced. Repeated batches at
     /// one instant keep accumulating toward the stall budget, exactly
     /// like repeated single events would.
     ///
@@ -158,26 +132,20 @@ impl Watchdog {
     pub(crate) fn observe_batch(
         &mut self,
         now: Time,
-        kinds: &[u64; NUM_EVENT_KINDS],
+        kinds: impl IntoIterator<Item = usize>,
         queue_depth: usize,
         processed: u64,
     ) -> Result<(), TcnError> {
-        let n: u64 = kinds.iter().sum();
-        if n == 0 {
-            return Ok(());
-        }
         if now > self.last_time {
             self.last_time = now;
-            self.since_advance = 0;
-            self.stall_kinds = [0; NUM_EVENT_KINDS];
+            self.total_at_advance = self.total;
+            self.kinds_at_advance = self.total_kinds;
         }
-        self.since_advance += n;
-        self.total += n;
-        for (i, &k) in kinds.iter().enumerate() {
-            self.stall_kinds[i] += k;
-            self.total_kinds[i] += k;
+        for kind in kinds {
+            self.total_kinds[kind] += 1;
+            self.total += 1;
         }
-        if self.since_advance > self.stall_budget {
+        if self.since_advance() > self.stall_budget {
             return Err(TcnError::Stall(self.report(
                 now,
                 queue_depth,
@@ -200,6 +168,11 @@ impl Watchdog {
         Ok(())
     }
 
+    /// Events dispatched since the clock last advanced.
+    fn since_advance(&self) -> u64 {
+        self.total - self.total_at_advance
+    }
+
     fn report(
         &self,
         now: Time,
@@ -208,12 +181,11 @@ impl Watchdog {
         runaway: bool,
         budget: u64,
     ) -> StallReport {
-        let counts = if runaway { &self.total_kinds } else { &self.stall_kinds };
-        let mut ranked: Vec<(String, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (EVENT_KIND_NAMES[i].to_string(), n))
+        let base = if runaway { [0; NUM_EVENT_KINDS] } else { self.kinds_at_advance };
+        let mut ranked: Vec<(String, u64)> = (0..NUM_EVENT_KINDS)
+            .map(|i| (EVENT_KIND_NAMES[i], self.total_kinds[i] - base[i]))
+            .filter(|&(_, n)| n > 0)
+            .map(|(name, n)| (name.to_string(), n))
             .collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         ranked.truncate(TOP_KINDS);
@@ -221,7 +193,7 @@ impl Watchdog {
             sim_time: now,
             queue_depth,
             events_processed: processed,
-            events_since_advance: self.since_advance,
+            events_since_advance: self.since_advance(),
             budget,
             runaway,
             top_events: ranked,
@@ -286,46 +258,88 @@ mod tests {
         let mut per_event = Watchdog::new(10);
         let mut batched = Watchdog::new(10);
         let t = Time::from_us(3);
-        let mut kinds = [0u64; NUM_EVENT_KINDS];
-        kinds[1] = 4; // arrive
-        kinds[3] = 3; // tx_done
-        for _ in 0..4 {
-            per_event.observe(t, 1, 5, 0).expect("ok");
+        let kinds = [1, 1, 1, 1, 3, 3, 3]; // 4 arrive, 3 tx_done
+        for &k in &kinds {
+            per_event.observe(t, k, 5, 0).expect("ok");
         }
-        for _ in 0..3 {
-            per_event.observe(t, 3, 5, 0).expect("ok");
-        }
-        batched.observe_batch(t, &kinds, 5, 0).expect("ok");
-        assert_eq!(per_event.since_advance, batched.since_advance);
+        batched.observe_batch(t, kinds, 5, 0).expect("ok");
+        assert_eq!(per_event.since_advance(), batched.since_advance());
         assert_eq!(per_event.total, batched.total);
-        assert_eq!(per_event.stall_kinds, batched.stall_kinds);
+        assert_eq!(per_event.total_kinds, batched.total_kinds);
         // Both trip on the same marginal load at the same instant:
         // 7 accounted + 4 more exceeds the budget of 10 either way.
-        let mut four = [0u64; NUM_EVENT_KINDS];
-        four[4] = 4;
         for _ in 0..3 {
             per_event.observe(t, 4, 5, 7).expect("within budget");
         }
         per_event.observe(t, 4, 5, 8).expect_err("over stall budget");
         batched
-            .observe_batch(t, &four, 5, 8)
+            .observe_batch(t, [4; 4], 5, 8)
             .expect_err("over stall budget");
+    }
+
+    #[test]
+    fn stall_over_several_mixed_batches_reports_like_per_event() {
+        // Earlier instants leave run totals behind, so the stall counts
+        // come from subtracting the snapshot taken at the last advance.
+        let warm_up: [(u64, &[usize]); 3] = [(1, &[0, 1, 1]), (2, &[3, 4]), (3, &[1, 3, 3, 9])];
+        let stall: [&[usize]; 3] = [&[1, 3, 1], &[4, 3, 3, 5], &[1, 3, 6]];
+        let t = Time::from_us(4);
+        let outcome = |batched: bool, stall_budget: u64, total_budget: Option<u64>| {
+            let mut wd = Watchdog::new(stall_budget);
+            if let Some(b) = total_budget {
+                wd = wd.with_total_budget(b);
+            }
+            for &(us, kinds) in &warm_up {
+                wd.observe_batch(Time::from_us(us), kinds.iter().copied(), 0, 0)
+                    .expect("advancing");
+            }
+            let mut result = Ok(());
+            for (i, kinds) in stall.iter().enumerate() {
+                result = if batched {
+                    wd.observe_batch(t, kinds.iter().copied(), 3, i as u64)
+                } else {
+                    kinds
+                        .iter()
+                        .try_for_each(|&k| wd.observe(t, k, 3, i as u64))
+                };
+                assert_eq!(result.is_ok(), i < 2, "trips on the last event, batch {i}");
+            }
+            match result {
+                Err(TcnError::Stall(r)) => r,
+                other => panic!("expected a stall, got {other:?}"),
+            }
+        };
+        // Ten events at one instant against a stall budget of nine.
+        let stalled = outcome(true, 9, None);
+        assert_eq!(stalled, outcome(false, 9, None));
+        assert_eq!((stalled.events_since_advance, stalled.runaway), (10, false));
+        assert_eq!(
+            stalled.top_events,
+            vec![("tx_done".into(), 4), ("arrive".into(), 3), ("link_down".into(), 1)]
+        );
+        // Nineteen events over the run against a total budget of 18.
+        let runaway = outcome(true, 100, Some(18));
+        assert_eq!(runaway, outcome(false, 100, Some(18)));
+        assert_eq!((runaway.events_since_advance, runaway.runaway), (10, true));
+        assert_eq!(
+            runaway.top_events,
+            vec![("tx_done".into(), 7), ("arrive".into(), 6), ("timer".into(), 2)]
+        );
     }
 
     #[test]
     fn batch_observation_resets_on_clock_advance() {
         let mut wd = Watchdog::new(5);
-        let mut kinds = [0u64; NUM_EVENT_KINDS];
-        kinds[1] = 4;
+        let kinds = [1; 4];
         for i in 0..100u64 {
             // Four events per instant, advancing every batch: never trips.
-            wd.observe_batch(Time::from_ps(i + 1), &kinds, 0, i)
+            wd.observe_batch(Time::from_ps(i + 1), kinds, 0, i)
                 .expect("progressing");
         }
         // Two same-instant batches accumulate: 4 + 4 > 5 trips.
-        wd.observe_batch(Time::from_ns(1), &kinds, 0, 400).expect("first");
+        wd.observe_batch(Time::from_ns(1), kinds, 0, 400).expect("first");
         let err = wd
-            .observe_batch(Time::from_ns(1), &kinds, 0, 404)
+            .observe_batch(Time::from_ns(1), kinds, 0, 404)
             .expect_err("second batch at one instant exceeds the budget");
         match err {
             TcnError::Stall(r) => {
@@ -339,9 +353,8 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut wd = Watchdog::new(1).with_total_budget(1);
-        let kinds = [0u64; NUM_EVENT_KINDS];
         for _ in 0..10 {
-            wd.observe_batch(Time::from_us(1), &kinds, 0, 0).expect("no-op");
+            wd.observe_batch(Time::from_us(1), [], 0, 0).expect("no-op");
         }
     }
 

@@ -24,12 +24,15 @@
 //! calendar / bucketed future-event list (Brown's calendar queue, as used
 //! by ns-2's scheduler):
 //!
-//! * **active** — a small binary heap holding only events of the *current
-//!   day* (a day is a fixed `2^20` ps ≈ 1 µs slice of simulated time).
-//!   Pops come from here; the heap is tiny, so each pop is cheap.
+//! * **active** — the events of the *current day* (a day is a fixed
+//!   `2^20` ps ≈ 1 µs slice of simulated time), in two parts. When a day
+//!   becomes current its bucket is sorted once, earliest entry last, into
+//!   the **run**, and pops take the run's last entry. Entries scheduled
+//!   into the day after that go to a small **side heap**; every pop
+//!   takes the earlier of the two heads.
 //! * **ring** — `NUM_BUCKETS` unsorted buckets covering the next
 //!   `NUM_BUCKETS` days. Scheduling into the ring is an `O(1)` push; a
-//!   bucket is heapified wholesale (`O(k)`) only when its day becomes
+//!   bucket is sorted wholesale only when its day becomes
 //!   current. A `NUM_BUCKETS`-bit occupancy bitmap (one bit per slot)
 //!   lets the queue jump over empty days: the next non-empty day is a
 //!   circular `trailing_zeros` scan of at most `NUM_BUCKETS / 64` words.
@@ -38,9 +41,10 @@
 //!   overflow events that fell inside the new window migrate into the
 //!   ring.
 //!
-//! The tiers are disjoint in time — `active` (current day) < every ring
-//! day < every overflow day — so the earliest pending event is always in
-//! `active` after a (possibly empty) advance step, and the global
+//! The tiers are disjoint in time — the current day < every ring day <
+//! every overflow day — so the earliest pending event is always at the
+//! head of the run or the side heap after a (possibly empty) advance
+//! step, and the global
 //! `(time, seq)` order is exactly the one the plain heap produces. That
 //! equivalence is enforced by a 10⁶-operation randomized differential
 //! test against a plain binary-heap oracle (`tests/engine_differential.rs`).
@@ -53,22 +57,27 @@
 //! a capacity-less `Vec`; when its bit goes 0→1 it takes a spare from a
 //! LIFO **pool** of emptied `Vec`s (a pool miss is the only allocating
 //! path, counted as [`QueueStats::bucket_allocs`]); when its day becomes
-//! current the bucket is heapified *in place* into `active`, and the
-//! drained heap's storage goes back to the pool.
+//! current the bucket is sorted *in place* and becomes the run, and the
+//! drained run's storage goes back to the pool.
 //!
 //! * Why a pool and not swapping the drained storage straight into the
 //!   vacated slot: a swap leaves capacity behind in every slot a day
 //!   ever used, so it spreads over all `NUM_BUCKETS` slots (+27 % peak
 //!   RSS on the 144-host fabric). The pool keeps only as many `Vec`s
 //!   alive as there are simultaneously non-empty days.
-//! * Why the advance stays *lazy* (on the pop that finds `active` empty,
-//!   not as soon as it drains): an eager advance moves `cur_day` to the
-//!   first scheduled event while earlier ones are still being added, so
-//!   they all pile into one big `active` heap — slower set-up, more RSS,
-//!   and slower dense batches. Laziness is what the `peek_time` memo is
-//!   for.
+//! * Why the advance stays *lazy* (on the pop that finds the current day
+//!   empty, not as soon as it drains): an eager advance moves `cur_day`
+//!   to the first scheduled event while earlier ones are still being
+//!   added, so they all pile into the side heap — slower set-up, more
+//!   RSS, and slower dense batches. For the same reason
+//!   [`EventQueue::pop_until`] and [`EventQueue::pop_batch_until`] never
+//!   open a day that starts after their limit.
+//! * Why a sorted run and not a heap for the current day: most of a
+//!   day's entries are scheduled before it opens, so one
+//!   `sort_unstable` (insertion sort at the usual handful of entries)
+//!   and `Vec::pop` replace a heapify and a sift-down per pop. The
+//!   pop order is still exactly `(time, seq)`.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -103,7 +112,7 @@ impl<E> PartialOrd for EventEntry<E> {
 
 impl<E> Ord for EventEntry<E> {
     /// Reversed so that `BinaryHeap` (a max-heap) pops the *earliest*
-    /// entry first.
+    /// entry first, and an ascending sort puts it last.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .at
@@ -171,7 +180,7 @@ fn first_ring_day(occupied: &[u64; OCC_WORDS], cur_day: u64) -> Option<u64> {
 /// schedule/pop sequence, so they are comparable across hosts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Day steps: refills of the active heap from the ring or overflow.
+    /// Day steps: refills of the current day from the ring or overflow.
     pub advances: u64,
     /// Ring buckets that went non-empty with no pooled spare to take —
     /// the only allocating path of the day step. Stops growing once the
@@ -181,11 +190,15 @@ pub struct QueueStats {
     pub pool_high_water: u64,
     /// Events scheduled beyond the ring's horizon.
     pub overflow_pushes: u64,
-    /// Overflow events pulled back into the ring (or the active day) as
+    /// Overflow events pulled back into the ring (or the current day) as
     /// the window advanced over them.
     pub overflow_migrated: u64,
-    /// Most events the active (current-day) heap ever held.
+    /// Most events the current day ever held (run plus side heap).
     pub active_high_water: u64,
+    /// Entries pushed into the side heap: scheduled into the day after
+    /// it opened, or handed back by
+    /// [`unpop_batch_tail`](EventQueue::unpop_batch_tail).
+    pub late_pushes: u64,
 }
 
 /// A future-event list with a monotonic clock.
@@ -206,9 +219,13 @@ pub struct QueueStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Events of the current day, heap-ordered. Every pop comes from
-    /// here; [`EventQueue::advance`] refills it from the ring/overflow.
-    active: BinaryHeap<EventEntry<E>>,
+    /// The current day's events as they stood when it opened, sorted
+    /// with the earliest last; [`EventQueue::advance`] refills it from
+    /// the ring/overflow.
+    run: Vec<EventEntry<E>>,
+    /// Events inserted into the current day after it opened. Every pop
+    /// takes the earlier of this heap's top and the run's last entry.
+    late: BinaryHeap<EventEntry<E>>,
     /// The bucket ring: unsorted per-day buckets for days in
     /// `(cur_day, cur_day + NUM_BUCKETS)`, indexed by `day % NUM_BUCKETS`.
     /// A slot whose occupancy bit is clear holds a capacity-less `Vec`.
@@ -219,7 +236,7 @@ pub struct EventQueue<E> {
     pool: Vec<Vec<EventEntry<E>>>,
     /// Events at or beyond `cur_day + NUM_BUCKETS`, heap-ordered.
     overflow: BinaryHeap<EventEntry<E>>,
-    /// The day `active` serves.
+    /// The day the run and the side heap serve.
     cur_day: u64,
     /// Total entries across all three tiers.
     pending: usize,
@@ -236,20 +253,6 @@ pub struct EventQueue<E> {
     probe: Probe,
     /// Pops between telemetry `Tick` emissions.
     tick_interval: u64,
-    /// Memoized [`EventQueue::peek_time`] result, guarded by
-    /// `peek_valid`. Interior mutability because `peek_time` takes
-    /// `&self` (the next-event time cannot change under `&self`, so
-    /// memoizing is sound); every `&mut self` mutation refreshes or
-    /// invalidates it. Without this, a driver loop that peeks once per
-    /// pop re-runs the `O(k)` next-bucket scan on *every* iteration
-    /// whenever the active day has drained.
-    peek_cache: Cell<Option<Time>>,
-    /// True when `peek_cache` holds the answer.
-    peek_valid: Cell<bool>,
-    /// Number of `O(k)` next-bucket scans `peek_time` has performed —
-    /// observable in unit tests to prove the drained-day path stops
-    /// rescanning.
-    bucket_scans: Cell<u64>,
     stats: QueueStats,
 }
 
@@ -263,7 +266,8 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at [`Time::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            active: BinaryHeap::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; OCC_WORDS],
             pool: Vec::new(),
@@ -276,9 +280,6 @@ impl<E> EventQueue<E> {
             clock_audit: tcn_audit::ClockAudit::new(),
             probe: Probe::off(),
             tick_interval: DEFAULT_TICK_INTERVAL,
-            peek_cache: Cell::new(None),
-            peek_valid: Cell::new(true),
-            bucket_scans: Cell::new(0),
             stats: QueueStats::default(),
         }
     }
@@ -311,8 +312,8 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events popped so far (for progress reporting and the
-    /// engine microbenches).
+    /// Number of events popped so far (for progress and performance
+    /// reporting).
     #[inline]
     pub fn processed(&self) -> u64 {
         self.processed
@@ -390,22 +391,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Place an entry into the tier its day selects. `day <= cur_day`
-    /// can only mean the current day (schedule never targets the past),
-    /// and keeps `active` correct even for entries migrating out of
-    /// overflow.
+    /// means the open day — or a day between the clock and it, when
+    /// [`pop_until`](Self::pop_until) opened its limit's day without
+    /// popping — so the entry precedes every ring and overflow entry,
+    /// and the side heap orders it against the run.
     fn insert(&mut self, entry: EventEntry<E>) {
         self.pending += 1;
-        // Min-merge the memoized peek time: a valid cache stays valid
-        // because an insert can only move the next firing time earlier.
-        if self.peek_valid.get() {
-            match self.peek_cache.get() {
-                Some(c) if c <= entry.at => {}
-                _ => self.peek_cache.set(Some(entry.at)),
-            }
-        }
         let day = day_of(entry.at);
         if day <= self.cur_day {
-            self.active.push(entry);
+            self.stats.late_pushes += 1;
+            self.late.push(entry);
             self.note_active_len();
         } else if day < self.cur_day + NUM_BUCKETS as u64 {
             let slot = (day % NUM_BUCKETS as u64) as usize;
@@ -426,7 +421,7 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn note_active_len(&mut self) {
-        let len = self.active.len() as u64;
+        let len = (self.run.len() + self.late.len()) as u64;
         if len > self.stats.active_high_water {
             self.stats.active_high_water = len;
         }
@@ -444,54 +439,94 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Refill `active` for the next non-empty day (ring first — its days
-    /// always precede overflow days — then overflow), migrating overflow
-    /// events that the advanced window now covers.
-    fn advance(&mut self) {
+    /// Open the next non-empty day (ring first — its days always precede
+    /// overflow days — then overflow) unless it starts after `limit_day`:
+    /// its bucket becomes the run, the overflow events the advanced
+    /// window now covers migrate, and the run is sorted. Returns whether
+    /// a day was opened. Only called with the current day drained.
+    fn advance(&mut self, limit_day: u64) -> bool {
+        debug_assert!(self.run.is_empty() && self.late.is_empty());
         let ring_day = first_ring_day(&self.occupied, self.cur_day);
-        let overflow_day = self.overflow.peek().map(|e| day_of(e.at));
-        let next = match (ring_day, overflow_day) {
-            (None, None) => return,
-            (Some(d), None) | (None, Some(d)) => d,
-            (Some(a), Some(b)) => a.min(b),
+        let Some(next) = ring_day.or_else(|| self.overflow.peek().map(|e| day_of(e.at))) else {
+            return false;
         };
+        if next > limit_day {
+            return false;
+        }
         self.cur_day = next;
         self.stats.advances += 1;
-        if ring_day == Some(next) {
+        if ring_day.is_some() {
             let slot = (next % NUM_BUCKETS as u64) as usize;
             self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+            // The bucket becomes the run where it lies; the drained
+            // run's storage is the next spare.
             let bucket = std::mem::take(&mut self.buckets[slot]);
-            debug_assert!(self.active.is_empty());
-            // Heapify the bucket where it lies; the drained heap's
-            // storage is the next spare.
-            let drained = std::mem::replace(&mut self.active, BinaryHeap::from(bucket));
-            self.recycle(drained.into_vec());
-            self.note_active_len();
+            let drained = std::mem::replace(&mut self.run, bucket);
+            self.recycle(drained);
         }
         // Pull every overflow event the new window covers into the ring
-        // (or straight into `active` for the current day), restoring the
-        // tier invariant `overflow days >= cur_day + NUM_BUCKETS`.
-        while let Some(top) = self.overflow.peek() {
-            let day = day_of(top.at);
-            if day >= self.cur_day + NUM_BUCKETS as u64 {
-                break;
-            }
+        // (or the run, for the new day), restoring the tier invariant
+        // `overflow days >= cur_day + NUM_BUCKETS`.
+        let horizon = self.cur_day + NUM_BUCKETS as u64;
+        while self.overflow.peek().is_some_and(|top| day_of(top.at) < horizon) {
             let Some(entry) = self.overflow.pop() else {
                 break;
             };
-            self.pending -= 1; // `insert` re-counts it
             self.stats.overflow_migrated += 1;
-            self.insert(entry);
+            if day_of(entry.at) == self.cur_day {
+                self.run.push(entry);
+            } else {
+                self.pending -= 1; // `insert` re-counts it
+                self.insert(entry);
+            }
         }
+        self.run.sort_unstable();
+        self.note_active_len();
+        true
+    }
+
+    /// Take the earlier of the run's last entry and the side heap's top
+    /// if it fires at or before `limit`.
+    #[inline]
+    fn take_head(&mut self, limit: Time) -> Option<EventEntry<E>> {
+        let from_late = match (self.run.last(), self.late.peek()) {
+            // `EventEntry` orders earlier entries greater.
+            (Some(r), Some(l)) => l > r,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        let head = if from_late { self.late.peek() } else { self.run.last() };
+        if head?.at > limit {
+            return None;
+        }
+        if from_late {
+            self.late.pop()
+        } else {
+            self.run.pop()
+        }
+    }
+
+    /// [`take_head`](Self::take_head), opening the next day first when
+    /// the current one has drained.
+    #[inline]
+    fn take_next(&mut self, limit: Time) -> Option<EventEntry<E>> {
+        if self.run.is_empty() && self.late.is_empty() && !self.advance(day_of(limit)) {
+            return None;
+        }
+        self.take_head(limit)
     }
 
     /// Pop the next event, advancing the clock to its firing time.
     /// Returns `None` when the simulation has run dry.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        if self.active.is_empty() {
-            self.advance();
-        }
-        let entry = self.active.pop()?;
+        self.pop_until(Time::MAX)
+    }
+
+    /// [`pop`](Self::pop) the next event if it fires at or before
+    /// `limit`; otherwise pop nothing and return `None`. One call
+    /// replaces a [`peek_time`](Self::peek_time) check and a pop.
+    pub fn pop_until(&mut self, limit: Time) -> Option<EventEntry<E>> {
+        let entry = self.take_next(limit)?;
         self.pending -= 1;
         debug_assert!(entry.at >= self.now, "clock went backwards");
         self.clock_audit.on_pop(entry.at.as_ps(), entry.seq);
@@ -504,7 +539,6 @@ impl<E> EventQueue<E> {
                 pending: self.pending as u64,
             });
         }
-        self.refresh_peek_cache();
         Some(entry)
     }
 
@@ -515,32 +549,30 @@ impl<E> EventQueue<E> {
     /// The batch is in FIFO (sequence) order, exactly the order the same
     /// events would pop one at a time — the three tiers keep same-instant
     /// events in the same day, so after one (possibly empty) advance the
-    /// whole batch sits in `active` and drains without further tier
-    /// interaction. Clock-audit and telemetry accounting amortize per
-    /// batch: one `on_pop_batch` boundary check instead of `n` `on_pop`
-    /// calls, and `Tick` events for exactly the pop counts the per-event
-    /// path would have emitted them at.
+    /// whole batch sits in the run and the side heap and drains without
+    /// further tier interaction. Clock-audit and telemetry accounting
+    /// amortize per batch: one `on_pop_batch` boundary check instead of
+    /// `n` `on_pop` calls, and `Tick` events for exactly the pop counts
+    /// the per-event path would have emitted them at.
     pub fn pop_batch_into(&mut self, out: &mut Vec<EventEntry<E>>) -> usize {
+        self.pop_batch_until(Time::MAX, out)
+    }
+
+    /// [`pop_batch_into`](Self::pop_batch_into) if the next firing time
+    /// is at or before `limit`; otherwise pop nothing and return 0.
+    pub fn pop_batch_until(&mut self, limit: Time, out: &mut Vec<EventEntry<E>>) -> usize {
         out.clear();
-        if self.active.is_empty() {
-            self.advance();
-        }
-        let Some(first) = self.active.pop() else {
+        let Some(first) = self.take_next(limit) else {
             return 0;
         };
         let at = first.at;
         let first_seq = first.seq;
-        let mut last_seq = first.seq;
         out.push(first);
-        while let Some(top) = self.active.peek() {
-            if top.at != at {
-                break;
-            }
-            let Some(e) = self.active.pop() else { break };
-            last_seq = e.seq;
+        while let Some(e) = self.take_head(at) {
             out.push(e);
         }
         let n = out.len();
+        let last_seq = out[n - 1].seq;
         self.pending -= n;
         debug_assert!(at >= self.now, "clock went backwards");
         self.clock_audit
@@ -566,7 +598,6 @@ impl<E> EventQueue<E> {
                 k += stride;
             }
         }
-        self.refresh_peek_cache();
         n
     }
 
@@ -579,8 +610,8 @@ impl<E> EventQueue<E> {
     /// inevitable re-pop of the same entries is not flagged as a
     /// tie-break violation. `tail` is drained.
     ///
-    /// The entries fire at `now`, so they land straight back in the
-    /// active tier (`day <= cur_day`).
+    /// The entries fire at `now`, so they land in the side heap
+    /// (`day <= cur_day`).
     pub fn unpop_batch_tail(&mut self, tail: &mut Vec<EventEntry<E>>) {
         let n = tail.len();
         if n == 0 {
@@ -595,51 +626,20 @@ impl<E> EventQueue<E> {
         for e in tail.drain(..) {
             self.insert(e);
         }
-        self.refresh_peek_cache();
     }
 
-    /// Re-memoize the peek time after pops mutated `active`: `O(1)` from
-    /// the active heap's top, or a definitive `None` when fully drained;
-    /// only a non-empty queue with a drained active day defers to the
-    /// next `peek_time` call's bucket scan.
-    #[inline]
-    fn refresh_peek_cache(&mut self) {
-        if let Some(e) = self.active.peek() {
-            self.peek_cache.set(Some(e.at));
-            self.peek_valid.set(true);
-        } else if self.pending == 0 {
-            self.peek_cache.set(None);
-            self.peek_valid.set(true);
-        } else {
-            self.peek_valid.set(false);
-        }
-    }
-
-    /// Firing time of the next event without popping it.
-    ///
-    /// Memoized: `O(1)` while the cache is valid (the common case —
-    /// every insert min-merges into it and every pop refreshes it from
-    /// the active heap's top). The `O(k)` scan of the next non-empty
-    /// bucket runs at most once per drained day, not once per
-    /// driver-loop iteration.
+    /// Firing time of the next event without popping it: the earlier
+    /// head of the run and the side heap, else a scan of the next
+    /// non-empty ring bucket, else the overflow top. The run loops do
+    /// not need it ([`pop_until`](Self::pop_until) and
+    /// [`pop_batch_until`](Self::pop_batch_until) check their limit
+    /// themselves), so it is not memoized.
     pub fn peek_time(&self) -> Option<Time> {
-        if self.peek_valid.get() {
-            return self.peek_cache.get();
-        }
-        let t = self.compute_peek_time();
-        self.peek_cache.set(t);
-        self.peek_valid.set(true);
-        t
-    }
-
-    /// The uncached peek: active top, else a scan of the next non-empty
-    /// ring bucket, else the overflow top.
-    fn compute_peek_time(&self) -> Option<Time> {
-        if let Some(e) = self.active.peek() {
-            return Some(e.at);
+        let head = [self.run.last(), self.late.peek()];
+        if let Some(t) = head.into_iter().flatten().map(|e| e.at).min() {
+            return Some(t);
         }
         if let Some(d) = first_ring_day(&self.occupied, self.cur_day) {
-            self.bucket_scans.set(self.bucket_scans.get() + 1);
             return self.buckets[(d % NUM_BUCKETS as u64) as usize]
                 .iter()
                 .map(|e| e.at)
@@ -670,7 +670,8 @@ impl<E> EventQueue<E> {
     /// epoch-reset for the same reason: a reused engine must not report
     /// series from the previous run as if they belonged to the new one.
     pub fn clear(&mut self) {
-        self.active.clear();
+        self.run.clear();
+        self.late.clear();
         for word in 0..OCC_WORDS {
             let mut bits = std::mem::take(&mut self.occupied[word]);
             while bits != 0 {
@@ -684,8 +685,6 @@ impl<E> EventQueue<E> {
         self.overflow.clear();
         self.pending = 0;
         self.next_seq = 0;
-        self.peek_cache.set(None);
-        self.peek_valid.set(true);
         self.clock_audit.on_clear();
         self.probe.on_clear();
     }
@@ -932,42 +931,59 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_cached_on_drained_day() {
-        // The satellite bug: once the active day drains, every peek
-        // re-scanned the next non-empty bucket. With the memo, a
-        // peek-per-loop driver pays exactly one scan per drained day.
+    fn pop_until_stops_at_the_limit_without_opening_a_later_day() {
         let mut q = EventQueue::new();
-        q.schedule_at(Time::from_ns(10), 0u32); // current day
-        q.schedule_at(Time::from_us(50), 1); // a later ring day
-        q.schedule_at(Time::from_us(50), 2);
-        assert_eq!(q.pop().map(|e| e.event), Some(0));
-        // Active day drained, ring still populated: the first peek scans…
-        assert_eq!(q.peek_time(), Some(Time::from_us(50)));
-        assert_eq!(q.bucket_scans.get(), 1);
-        // …and every subsequent peek is served from the cache.
-        for _ in 0..100 {
-            assert_eq!(q.peek_time(), Some(Time::from_us(50)));
-        }
-        assert_eq!(q.bucket_scans.get(), 1);
+        q.schedule_at(Time::from_us(40), 1u32);
+        q.schedule_at(Time::from_us(40) + Time::from_ns(1), 2);
+        let mut batch = Vec::new();
+        // The next event's day starts after the limit: nothing moves.
+        assert!(q.pop_until(Time::from_us(5)).is_none());
+        assert_eq!(q.pop_batch_until(Time::from_us(5), &mut batch), 0);
+        assert_eq!(q.stats().advances, 0);
+        assert_eq!((q.now(), q.len(), q.processed()), (Time::ZERO, 2, 0));
+        // Same day, a picosecond short: the day opens, nothing pops.
+        assert!(q.pop_until(Time::from_us(40) - Time::from_ps(1)).is_none());
+        assert_eq!((q.stats().advances, q.len()), (1, 2));
+        assert_eq!(q.peek_time(), Some(Time::from_us(40)));
+        // A limit equal to the firing time pops exactly that instant.
+        assert_eq!(q.pop_batch_until(Time::from_us(40), &mut batch), 1);
+        assert_eq!(batch[0].event, 1);
+        assert_eq!(q.pop_until(Time::MAX).map(|e| e.event), Some(2));
+        assert!(q.pop_until(Time::MAX).is_none());
     }
 
     #[test]
-    fn peek_cache_invalidates_on_insert_pop_clear() {
+    fn current_day_inserts_merge_with_the_sorted_run() {
+        // Open a day whose bucket holds two instants, then insert into
+        // it: a fresh schedule at an instant the run holds (a higher
+        // seq: after it), a reserved seq filled there (a lower seq:
+        // between the run's entries) and an unpopped batch tail while
+        // the run still holds the later instant.
+        let (t1, t2) = (Time::from_us(3), Time::from_us(3) + Time::from_ns(100));
         let mut q = EventQueue::new();
-        q.schedule_at(Time::from_us(9), 1u32);
-        assert_eq!(q.peek_time(), Some(Time::from_us(9)));
-        // Insert an earlier event: the cache must follow it down.
-        q.schedule_at(Time::from_us(4), 2);
-        assert_eq!(q.peek_time(), Some(Time::from_us(4)));
-        // Pop: the cache must advance past the popped entry.
-        q.pop();
-        assert_eq!(q.peek_time(), Some(Time::from_us(9)));
-        // Clear: the cache must report empty.
-        q.clear();
-        assert_eq!(q.peek_time(), None);
-        // And a fresh schedule repopulates it.
-        q.schedule_at(Time::from_ms(20), 3); // overflow tier
-        assert_eq!(q.peek_time(), Some(Time::from_ms(20)));
+        q.schedule_at(t1, "a");
+        let held = q.reserve_seq();
+        q.schedule_at(t1, "c");
+        q.schedule_at(t2, "e");
+        q.schedule_at(Time::from_ns(2_900), "first");
+        q.schedule_at(Time::from_ns(2_950), "second"); // same day as t1
+        assert_eq!(q.pop().map(|e| e.event), Some("first"));
+        assert_eq!(q.run.len(), 4);
+        q.schedule_at(t1, "d");
+        q.schedule_at_reserved(t1, held, "b");
+        assert_eq!(q.late.len(), 2);
+        assert_eq!(q.pop().map(|e| e.event), Some("second"));
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_batch_into(&mut batch), 4);
+        let order: Vec<&str> = batch.iter().map(|e| e.event).collect();
+        assert_eq!(order, ["a", "b", "c", "d"]);
+        let mut tail = batch.split_off(1);
+        q.unpop_batch_tail(&mut tail);
+        assert_eq!((q.run.len(), q.late.len()), (1, 3));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, ["b", "c", "d", "e"]);
+        let s = q.stats();
+        assert_eq!((s.late_pushes, s.active_high_water, s.advances), (5, 6, 1));
     }
 
     #[test]
@@ -1019,7 +1035,7 @@ mod tests {
         // `forbid(unsafe_code)` rules out a counting allocator, so the
         // queue counts its own pool misses: once the pool has seen the
         // peak of simultaneously non-empty days (at most one per
-        // resident event, plus the one the active heap holds), stepping
+        // resident event, plus the one the run holds), stepping
         // days reuses storage for ever.
         let mut q = EventQueue::new();
         let mut rng = crate::Rng::new(12);
@@ -1047,8 +1063,8 @@ mod tests {
             q.pop();
             q.clear();
             assert!(q.is_empty() && q.peek_time().is_none());
-            // The active heap keeps the storage of the one bucket it
-            // was built from, so the second epoch allocates one more;
+            // The run keeps the storage of the one bucket it was
+            // built from, so the second epoch allocates one more;
             // from then on every day is served from the pool.
             let want = if epoch == 0 { 20 } else { 21 };
             assert_eq!(q.stats().bucket_allocs, want, "epoch {epoch}: {:?}", q.stats());
@@ -1070,7 +1086,7 @@ mod tests {
         q.pop(); // steps to the overflow day, migrating all five
         let s = q.stats();
         assert_eq!((s.advances, s.overflow_migrated, s.active_high_water), (1, 5, 5));
-        assert_eq!(s.bucket_allocs, 0, "overflow → active never touches a bucket");
+        assert_eq!(s.bucket_allocs, 0, "overflow → current day never touches a bucket");
     }
 
     #[test]

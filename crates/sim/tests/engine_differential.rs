@@ -69,6 +69,14 @@ impl<E> HeapEventQueue<E> {
         Some(entry)
     }
 
+    /// Mirror of `EventQueue::pop_until`.
+    fn pop_until(&mut self, limit: Time) -> Option<EventEntry<E>> {
+        if self.peek_time()? > limit {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Mirror of `EventQueue::pop_batch_into`: every event at the next
     /// firing time, in `(at, seq)` order.
     fn pop_batch_into(&mut self, out: &mut Vec<EventEntry<E>>) -> usize {
@@ -82,6 +90,15 @@ impl<E> HeapEventQueue<E> {
             out.extend(self.pop());
         }
         out.len()
+    }
+
+    /// Mirror of `EventQueue::pop_batch_until`.
+    fn pop_batch_until(&mut self, limit: Time, out: &mut Vec<EventEntry<E>>) -> usize {
+        if self.peek_time().is_some_and(|t| t > limit) {
+            out.clear();
+            return 0;
+        }
+        self.pop_batch_into(out)
     }
 
     /// Mirror of `EventQueue::unpop_batch_tail`.
@@ -437,6 +454,96 @@ fn batched_drain_matches_oracle_across_seeds() {
 #[test]
 fn batched_drain_with_clears_matches_oracle() {
     batch_differential_run(0xD15BA7C4, 200_000, Some(20_000));
+}
+
+/// Ties across the open day's sorted run and its side heap. Every
+/// instant is one of eight per day, so schedules into the open day keep
+/// landing on instants its run already holds: fresh schedules tie there
+/// with higher seqs, reservations filled there with lower ones, and
+/// batch tails handed back by `unpop_batch_tail` join a run that still
+/// holds the day's later instants. Pops go through `pop_until` and
+/// `pop_batch_until` with limits that often stop short of the next event.
+fn current_day_ties_run(seed: u64, ops: usize) {
+    const SLOT_PS: u64 = DAY_PS / 8;
+    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+    let mut rng = Rng::new(seed);
+    let mut payload = 0u64;
+    let mut held: Vec<u64> = Vec::new(); // reserved, not yet filled
+    let mut cal_batch = Vec::new();
+    let mut heap_batch = Vec::new();
+    // A grid instant `days` after the clock's day, never before the clock.
+    let grid = |now: Time, rng: &mut Rng, days: u64| {
+        let day = now.as_ps() / DAY_PS + days;
+        Time::from_ps(day * DAY_PS + rng.gen_range(8) * SLOT_PS).max(now)
+    };
+
+    for op in 0..ops as u64 {
+        let now = cal.now();
+        let roll = rng.gen_range(100);
+        if roll < 40 {
+            // Mostly into the open day, some into the next two.
+            let days = rng.gen_range(5).saturating_sub(2);
+            let at = grid(now, &mut rng, days);
+            payload += 1;
+            cal.schedule_at(at, payload);
+            heap.schedule_at(at, payload);
+        } else if roll < 50 {
+            let seq = cal.reserve_seq();
+            assert_eq!(seq, heap.reserve_seq(), "seq allocation diverged at op {op}");
+            held.push(seq);
+        } else if roll < 60 {
+            // Fill strictly after the clock (a seq older than entries
+            // already popped at `now` would be a FIFO inversion there),
+            // else abandon the reservation: a harmless gap.
+            let days = rng.gen_range(2);
+            let at = grid(now, &mut rng, days);
+            if let Some(seq) = held.pop().filter(|_| at > now) {
+                payload += 1;
+                cal.schedule_at_reserved(at, seq, payload);
+                heap.schedule_at_reserved(at, seq, payload);
+            }
+        } else if roll < 80 {
+            let limit = now.saturating_add(Time::from_ps(rng.gen_range(2 * DAY_PS)));
+            let (x, y) = (cal.pop_until(limit), heap.pop_until(limit));
+            assert_eq!(
+                x.map(|e| (e.at, e.seq, e.event)),
+                y.map(|e| (e.at, e.seq, e.event)),
+                "pop_until diverged at op {op}"
+            );
+        } else {
+            let limit = now.saturating_add(Time::from_ps(rng.gen_range(2 * DAY_PS)));
+            let n = cal.pop_batch_until(limit, &mut cal_batch);
+            heap.pop_batch_until(limit, &mut heap_batch);
+            let key = |b: &[EventEntry<u64>]| b.iter().map(|e| (e.at, e.seq, e.event)).collect::<Vec<_>>();
+            assert_eq!(key(&cal_batch), key(&heap_batch), "batch diverged at op {op}");
+            if n > 1 && rng.gen_range(2) == 0 {
+                // A run loop stopped mid-batch: the dispatched head
+                // scheduled a little at this instant, the rest goes back.
+                for _ in 0..rng.gen_range(3) {
+                    payload += 1;
+                    cal.schedule_at(cal.now(), payload);
+                    heap.schedule_at(cal.now(), payload);
+                }
+                let k = 1 + rng.gen_range(n as u64 - 1) as usize;
+                cal.unpop_batch_tail(&mut cal_batch.split_off(k));
+                heap.unpop_batch_tail(&mut heap_batch.split_off(k));
+            }
+        }
+        assert_eq!(cal.len(), heap.len(), "len diverged at op {op}");
+        assert_eq!(cal.now(), heap.now(), "clock diverged at op {op}");
+        assert_eq!(cal.processed(), heap.processed(), "processed diverged at op {op}");
+    }
+    while assert_same_pop(&mut cal, &mut heap, "in the final drain") {}
+    let stats = cal.stats();
+    assert!(stats.late_pushes > stats.advances, "{stats:?}");
+}
+
+#[test]
+fn current_day_ties_cross_run_and_side_heap() {
+    for seed in [0x7135, 8, 9] {
+        current_day_ties_run(seed, 60_000);
+    }
 }
 
 #[test]

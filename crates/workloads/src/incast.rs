@@ -2,9 +2,9 @@
 //!
 //! The paper argues TCN's instantaneous marking reacts faster than CoDel
 //! to "bursty datacenter traffic (e.g., incast \[33, 34\])" (§4.3); the
-//! burst-tolerance ablation bench uses this generator to test that claim
-//! directly: `fanout` senders each fire `size` bytes at the same receiver
-//! within a tiny jitter window.
+//! burst-tolerance experiment (`figs incast`) uses this generator to test
+//! that claim directly: `fanout` senders each fire `size` bytes at the
+//! same receiver within a tiny jitter window.
 
 use tcn_net::FlowSpec;
 use tcn_sim::{Rng, Time};

@@ -237,6 +237,7 @@ fn engine_counts_are_pinned() {
             overflow_pushes: 460,
             overflow_migrated: 389,
             active_high_water: 42,
+            late_pushes: 33,
         },
         "batched incast QueueStats"
     );

@@ -19,7 +19,8 @@
 //!   much slower — the experiments crate simulates full FCT sweeps in
 //!   debug mode with the audit hooks live).
 //! * `ci`    — build, then test, then tier-1 again in release with
-//!   `--features audit` (every runtime invariant checker live), then
+//!   `--features audit` (every runtime invariant checker live), together
+//!   with the `tcn-sim` and `tcn-net` suites, then
 //!   `lint-selftest` (the xtask test suite: lexer units, rule
 //!   fixtures, and the old-vs-new engine differential), then lint in
 //!   `--format json` mode (the document is schema-checked), then a
@@ -64,9 +65,16 @@ fn main() -> ExitCode {
                 ("test", |r| run_cargo(r, &["test", "-q"])),
                 // Tier-1 again in release with every runtime invariant
                 // checker live — debug runs audit via debug_assertions,
-                // so this is the only stage covering the feature path.
+                // so this is the only stage covering the feature path —
+                // plus the event queue's and the network's own suites.
                 ("test (audit)", |r| {
-                    run_cargo(r, &["test", "-q", "--release", "--features", "audit"])
+                    run_cargo(
+                        r,
+                        &[
+                            "test", "-q", "--release", "--features", "audit", "-p", "tcn-repro",
+                            "-p", "tcn-sim", "-p", "tcn-net",
+                        ],
+                    )
                 }),
                 // The lint engine's own suite: lexer units, per-rule
                 // fixture corpus, and the substring-vs-token engine
