@@ -58,20 +58,6 @@ pub fn standard_sojourn_threshold(rtt: Time, lambda: f64) -> Time {
     Time::from_secs_f64(rtt.as_secs_f64() * lambda)
 }
 
-/// Convert a queue-length threshold in bytes into the packet-count
-/// thresholds switch datasheets quote (e.g. the paper's "65 packets" at
-/// 1.5 KB MTU), rounding down.
-pub fn threshold_in_packets(bytes: u64, mtu: u32) -> u64 {
-    assert!(mtu > 0);
-    bytes / u64::from(mtu)
-}
-
-/// The per-queue ideal threshold `K_i = C_i × RTT × λ` (Eq. 2) given an
-/// estimate of the queue's own capacity `C_i`.
-pub fn ideal_queue_threshold(queue_capacity: Rate, rtt: Time, lambda: f64) -> u64 {
-    standard_queue_threshold(queue_capacity, rtt, lambda)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +69,10 @@ mod tests {
         // exactly 32 KB).
         let k = standard_queue_threshold(Rate::from_gbps(1), Time::from_us(250), 1.024);
         assert_eq!(k, 32_000);
+        // Fig. 5(b): the same formula at one queue's own drain rate is
+        // Eq. 2's ideal K_i — 250 Mbps of that 1 Gbps port → 8 KB.
+        let k = standard_queue_threshold(Rate::from_mbps(250), Time::from_us(250), 1.024);
+        assert_eq!(k, 8_000);
     }
 
     #[test]
@@ -92,10 +82,6 @@ mod tests {
             standard_queue_threshold(Rate::from_gbps(10), Time::from_us(100), 1.0),
             125_000
         );
-        // §6.2: 10 Gbps × RTT 85.2 us → 65 packets at λ ≈ 0.915. Verify
-        // the packet conversion at the paper's MTU.
-        let k = standard_queue_threshold(Rate::from_gbps(10), Time::from_us(78), 1.0);
-        assert_eq!(threshold_in_packets(k, 1500), 65);
     }
 
     #[test]
@@ -117,22 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn ideal_threshold_tracks_queue_capacity() {
-        // Fig. 5(b): queue at 250 Mbps of a 1 Gbps port with K_port=32 KB
-        // → K_i = 8 KB.
-        let k = ideal_queue_threshold(Rate::from_mbps(250), Time::from_us(250), 1.024);
-        assert_eq!(k, 8_000);
-    }
-
-    #[test]
     #[should_panic(expected = "lambda must be positive")]
     fn rejects_zero_lambda() {
         standard_queue_threshold(Rate::from_gbps(1), Time::from_us(1), 0.0);
-    }
-
-    #[test]
-    fn packets_conversion_rounds_down() {
-        assert_eq!(threshold_in_packets(125_000, 1500), 83);
-        assert_eq!(threshold_in_packets(1499, 1500), 0);
     }
 }

@@ -582,8 +582,8 @@ pub fn chaos(opts: &RunOptions) {
 /// Extension: mixed-tenant coexistence — DCTCP, CUBIC and BBR each in
 /// their own service class of one star fabric, goodput shares under
 /// {WFQ, DWRR} × {TCN, per-queue RED}. `--trace-out F` writes a JSONL
-/// telemetry trace of the WFQ+TCN combination (the `xtask ci`
-/// `cc(smoke)` stage validates it with `figs check-trace`).
+/// telemetry trace of the WFQ+TCN combination (`tests/cli.rs` validates
+/// it with `figs check-trace`).
 pub fn mixed(opts: &RunOptions) {
     let (warmup, measure) = if opts.quick() {
         (Time::from_ms(40), Time::from_ms(120))

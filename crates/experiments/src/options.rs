@@ -89,7 +89,7 @@ pub struct RunOptions {
     /// `TCN_EVENT_BUDGET`: absolute event cap per cell.
     pub event_budget: Option<u64>,
     /// `TCN_ABORT_AFTER_CELLS`: exit 3 after this many newly completed
-    /// cells (the resume smoke test's simulated kill).
+    /// cells (the resume test's simulated kill).
     pub abort_after_cells: Option<usize>,
     /// `TCN_INJECT_PANIC`: grid cell that panics on every attempt.
     pub inject_panic: Option<usize>,

@@ -104,8 +104,9 @@ impl ScenarioReport {
     }
 }
 
-/// Background flows under `--quick` are capped here so CI smoke runs
-/// stay fast; full runs use the scenario's own `flows`.
+/// Background flows under `--quick` are capped here so quick runs, and
+/// the tests that drive them, stay fast; full runs use the scenario's
+/// own `flows`.
 const QUICK_FLOW_CAP: usize = 24;
 
 /// The fixed fabric the scenario DSL scripts against: 1 Gbit/s links,

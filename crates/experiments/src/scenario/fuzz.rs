@@ -540,5 +540,6 @@ mod tests {
         let b = run_fuzz(&mk(4));
         assert_eq!(a.lines, b.lines);
         assert_eq!(a.failures.len(), b.failures.len());
+        assert!(a.failures.is_empty(), "{:?}", a.failures);
     }
 }

@@ -5,9 +5,9 @@
 //! [`crate::json`] layer — no serde). The schema is deliberately flat:
 //! every line has a `"kind"` tag and an `"at_ps"` timestamp, plus the
 //! per-kind fields listed in [`REQUIRED_FIELDS`]. [`validate_trace`]
-//! re-parses a trace and checks every line against that table; `xtask
-//! ci`'s telemetry smoke stage and the `figs check-trace` subcommand
-//! both run it.
+//! re-parses a trace and checks every line against that table; the
+//! `figs check-trace` subcommand runs it, and `tests/cli.rs` runs that
+//! on every trace writer's output.
 
 use std::io::{BufRead, Write};
 

@@ -1,7 +1,9 @@
-//! The binaries' input edge, driven as processes: strict option
-//! parsing exits 2 before anything runs, a bad file exits 1 with a
-//! message and never crashes, and `--threads` reaches every parallel
-//! runner without going through the environment.
+//! The binaries driven as processes: strict option parsing exits 2
+//! before anything runs, a bad file exits 1 with a message and never
+//! crashes, `--threads` reaches every parallel runner without going
+//! through the environment, a killed sweep resumes to the bytes of an
+//! uninterrupted one, every trace writer's output passes `figs
+//! check-trace`, and eight fuzzer seeds survive.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -65,14 +67,61 @@ fn a_misspelt_flag_exits_2_before_simulating() {
     assert!(!dir.0.join("results").exists(), "nothing ran, nothing was written");
 }
 
+/// `--seeds` beats `TCN_FUZZ_SEEDS`, and eight fixed fuzzer seeds
+/// survive: the generator only emits survivable chaos, so a violation
+/// is a bug in the system.
 #[test]
 fn the_seeds_flag_beats_its_environment_spelling() {
     let dir = Scratch::new("seeds");
-    let out = run(FIGS, &dir.0, &["fuzz", "--seeds", "3"], &[("TCN_FUZZ_SEEDS", "9")]);
+    let out = run(FIGS, &dir.0, &["fuzz", "--seeds", "8"], &[("TCN_FUZZ_SEEDS", "9")]);
     assert!(out.status.success(), "{}", text(&out.stderr));
-    assert!(text(&out.stdout).ends_with("fuzz: 3 seeds, zero violations\n"), "{}", text(&out.stdout));
+    assert!(text(&out.stdout).ends_with("fuzz: 8 seeds, zero violations\n"), "{}", text(&out.stdout));
     let out = run(FIGS, &dir.0, &["fuzz"], &[("TCN_FUZZ_SEEDS", "2")]);
     assert!(text(&out.stdout).ends_with("fuzz: 2 seeds, zero violations\n"), "{}", text(&out.stdout));
+}
+
+/// Kill a checkpointed sweep after two cells (exit 3, the simulated
+/// kill), resume it, and the merged `results/fig6.json` is the same
+/// bytes as an uninterrupted run's.
+#[test]
+fn a_killed_sweep_resumes_to_the_bytes_of_an_uninterrupted_one() {
+    let args = ["fig6", "--flows", "60", "--loads", "0.5", "--json"];
+    let control = Scratch::new("resume-control");
+    let out = run(FIGS, &control.0, &args, &[]);
+    assert!(out.status.success(), "control run: {}", text(&out.stderr));
+
+    let dir = Scratch::new("resume");
+    let ck = ("TCN_CHECKPOINT", "fig6.ck.jsonl");
+    let out = run(FIGS, &dir.0, &args, &[ck, ("TCN_ABORT_AFTER_CELLS", "2")]);
+    assert_eq!(out.status.code(), Some(3), "killed run: {}", text(&out.stderr));
+    assert!(!dir.0.join("results").exists(), "a killed run writes no result");
+    let out = run(FIGS, &dir.0, &args, &[ck]);
+    assert!(out.status.success(), "resumed run: {}", text(&out.stderr));
+
+    let read = |d: &Path| std::fs::read(d.join("results").join("fig6.json")).expect("fig6.json");
+    assert!(read(&dir.0) == read(&control.0), "resumed fig6.json differs from the control run's");
+}
+
+/// Each way a run writes a JSONL trace — a traced figure cell, two chaos
+/// scenarios, the mixed-congestion-control figure — writes one that
+/// `figs check-trace` accepts.
+#[test]
+fn every_trace_writer_passes_check_trace() {
+    let dir = Scratch::new("traces");
+    let writers: [&[&str]; 4] = [
+        &["trace", "fig6", "--flows", "60", "--loads", "0.5", "--out", "t.jsonl"],
+        &["scenario", "quiet-baseline", "--quick", "--trace-out", "t.jsonl"],
+        &["scenario", "incast-storm", "--quick", "--trace-out", "t.jsonl"],
+        &["mixed", "--quick", "--trace-out", "t.jsonl"],
+    ];
+    for args in writers {
+        let _ = std::fs::remove_file(dir.0.join("t.jsonl"));
+        let out = run(FIGS, &dir.0, args, &[]);
+        assert!(out.status.success(), "{args:?}: {}", text(&out.stderr));
+        let out = run(FIGS, &dir.0, &["check-trace", "t.jsonl"], &[]);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", text(&out.stderr));
+        assert!(text(&out.stdout).contains("OK —"), "{args:?}: {}", text(&out.stdout));
+    }
 }
 
 /// Every file that used to take the process down — an `assert!` deep in

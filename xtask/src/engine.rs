@@ -18,8 +18,8 @@
 //!   into lies, so the engine deletes their license to exist.
 //!
 //! Diagnostics carry `file:line:col`, the rule id, a severity, and a
-//! message, and render as text or as the JSON schema `xtask ci`'s lint
-//! stage validates (see [`to_json`] / [`crate::jsonck`]).
+//! message, and render as text or as the JSON schema `lint --format
+//! json` validates (see [`to_json`] / [`crate::jsonck`]).
 
 use std::fmt;
 use std::fs;

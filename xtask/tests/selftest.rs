@@ -1,5 +1,6 @@
-//! The lint engine's own gate, run by `cargo xtask ci`'s
-//! `lint-selftest` stage:
+//! The lint engine's own gate, part of Tier-1 (`cargo test -q` at the
+//! root) and so of `cargo xtask ci`'s `test` stage, which runs before
+//! its `lint` stage:
 //!
 //! 1. **Fixture corpus** — every registered rule has a positive
 //!    (`<rule>.bad.rs`) and negative (`<rule>.good.rs`) fixture under
