@@ -9,9 +9,9 @@
 //!
 //! * [`port`] — the egress port: multiple FIFO queues sharing one buffer
 //!   on a first-in-first-serve basis, a pluggable [`tcn_sched::Scheduler`]
-//!   and a pluggable [`tcn_core::Aqm`], plus full mark/drop accounting;
-//! * [`token_bucket`] — the shaper the software prototype used to keep
-//!   buffering inside the qdisc (§5, "Rate Limiter");
+//!   and a pluggable [`tcn_core::Aqm`], plus full mark/drop accounting.
+//!   It stands in for the prototype's rate limiter (§5) by serializing
+//!   at a reduced rate ([`PortSetup::tx_rate`]);
 //! * [`routing`] — BFS shortest paths with ECMP next-hop sets and a
 //!   deterministic per-(flow, switch) hash, as in the paper's leaf-spine
 //!   simulations;
@@ -33,7 +33,6 @@ pub mod builder;
 pub mod network;
 pub mod port;
 pub mod routing;
-pub mod token_bucket;
 pub mod topology;
 pub mod watchdog;
 
@@ -45,7 +44,6 @@ pub use network::{
 };
 pub use port::{Port, PortSetup, PortStats};
 pub use routing::{compute_routes, compute_routes_partial, ecmp_pick, RouteError};
-pub use token_bucket::TokenBucket;
 pub use topology::{
     dumbbell, fat_tree, leaf_spine, single_switch, single_switch_downlink, LeafSpineConfig,
 };

@@ -21,9 +21,6 @@
 //! on a dead wire (or blackholed into one before reconvergence) are
 //! dropped and counted in [`FaultStats`].
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use tcn_core::{
     AqmParams, ArenaStats, EcnCodepoint, FlowId, Packet, PacketArena, PacketHandle, PacketKind,
     TcnError,
@@ -49,9 +46,8 @@ pub enum DispatchMode {
     PerEvent,
     /// Drain every same-instant event in one heap interaction and
     /// amortize clock-audit/watchdog/telemetry accounting per batch;
-    /// ports whose scheduler has a pure idle `select` additionally
-    /// elide trailing service wake-ups (§7.6). Outputs are
-    /// byte-identical to [`DispatchMode::PerEvent`].
+    /// every port additionally elides its trailing service wake-ups
+    /// (§7.6). Outputs are byte-identical to [`DispatchMode::PerEvent`].
     Batched,
 }
 
@@ -190,10 +186,10 @@ pub struct LinkSpec {
 ///
 /// The per-event dispatch path only ever uses `Idle`/`BusyScheduled` —
 /// exactly the old `Port::busy` flag plus the wake-up instant. The
-/// batched path adds `BusyHeld`: when a coalescing-eligible port's
-/// queue drains mid-service, the trailing `TxDone` is not scheduled;
-/// its reserved sequence slot is held and materialized only if another
-/// packet needs service before serialization finishes. Holding the
+/// batched path adds `BusyHeld`: when a port's queue drains
+/// mid-service, the trailing `TxDone` is not scheduled; its reserved
+/// sequence slot is held, and `kick` schedules the wake only if another
+/// packet needs service before that slot would have fired. Holding the
 /// reservation (instead of just skipping the event) keeps sequence
 /// allocation — and therefore every same-instant tie-break — identical
 /// to the per-event path, which is what makes coalesced runs
@@ -223,9 +219,6 @@ struct LinkState {
     port: Port,
     /// Transmit-side serialization state (replaces `Port::busy`).
     tx: TxState,
-    /// Trailing-wake elision is sound on this port (the scheduler's
-    /// idle `select` is pure). Cached at construction.
-    coalesce: bool,
 }
 
 /// Live stochastic-fault state for one link: its effective profile and
@@ -461,16 +454,13 @@ pub struct NetworkSim {
     /// How the run loops pull events: batched, unless a test chose the
     /// reference loop via [`NetworkSim::set_dispatch_mode`].
     dispatch: DispatchMode,
-    /// Reusable batch scratch for the batched run loops.
+    /// The undispatched rest of the batched loops' same-instant batch,
+    /// next event *last* (descending `seq`), so `kick` can slot a held
+    /// wake into it. A reused scratch buffer.
     batch: Vec<EventEntry<Event>>,
-    /// Deadlines of held wakes (`TxState::BusyHeld`), a min-heap on
-    /// `(until, link)`. The batched loops consult it before dispatching
-    /// a batch: a held wake expiring *exactly* at the batch instant is
-    /// materialized into the batch at its reserved sequence number, so
-    /// service order at an exact tie matches the per-event path.
-    /// Entries whose link has since left `BusyHeld` are stale and
-    /// dropped on sight.
-    held: BinaryHeap<Reverse<(Time, u32)>>,
+    /// `seq` of the event the batched loops are dispatching: `kick`
+    /// compares a held wake's reservation against it at an exact tie.
+    dispatching: u64,
 }
 
 impl NetworkSim {
@@ -510,16 +500,11 @@ impl NetworkSim {
         }
         let links: Vec<LinkState> = link_specs
             .into_iter()
-            .map(|l| {
-                let port = Port::new(&l.setup, l.rate);
-                let coalesce = port.coalescing_eligible();
-                LinkState {
-                    to: l.to,
-                    delay: l.delay,
-                    port,
-                    tx: TxState::Idle,
-                    coalesce,
-                }
+            .map(|l| LinkState {
+                to: l.to,
+                delay: l.delay,
+                port: Port::new(&l.setup, l.rate),
+                tx: TxState::Idle,
             })
             .collect();
         let n_links = links.len();
@@ -549,7 +534,7 @@ impl NetworkSim {
             reconfig_log: Vec::new(),
             dispatch: DispatchMode::Batched,
             batch: Vec::new(),
-            held: BinaryHeap::new(),
+            dispatching: 0,
         })
     }
 
@@ -560,9 +545,9 @@ impl NetworkSim {
     ///
     /// # Panics
     /// Panics once an event has been dispatched: a wake the batched
-    /// loop is holding (`TxState::BusyHeld`) is only ever materialized
-    /// by the batched loop, so a mid-run switch would reorder service
-    /// at a same-instant tie.
+    /// loop is holding (`TxState::BusyHeld`) exists only as a reserved
+    /// sequence number that only the batched loop resolves, so a mid-run
+    /// switch would reorder service at a same-instant tie.
     pub fn set_dispatch_mode(&mut self, mode: DispatchMode) {
         assert!(
             self.events.processed() == 0,
@@ -913,72 +898,43 @@ impl NetworkSim {
                     self.dispatch_event(entry.event, entry.at)?;
                 }
             }
-            DispatchMode::Batched => {
-                let mut batch = std::mem::take(&mut self.batch);
-                let r = self.run_until_batched(t, &mut batch);
-                self.batch = batch;
-                r?;
-            }
+            DispatchMode::Batched => self.run_batched(t, false)?,
         }
         self.audit_net();
         Ok(())
     }
 
-    /// The batched drain behind [`run_until`](Self::run_until): every
-    /// same-instant batch comes off the heap in one interaction, the
-    /// watchdog observes it once, and events dispatch in the same
-    /// (time, seq) order the per-event path would have popped them.
-    /// Same-instant events scheduled *during* the batch carry higher
-    /// sequence numbers and form the next batch — order is preserved.
-    fn run_until_batched(
-        &mut self,
-        t: Time,
-        batch: &mut Vec<EventEntry<Event>>,
-    ) -> Result<(), TcnError> {
-        while self.events.pop_batch_until(t, batch) > 0 {
-            self.materialize_held_wakes(batch);
-            self.observe_batch(batch)?;
-            for entry in batch.drain(..) {
-                self.dispatch_event(entry.event, entry.at)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold every held wake whose serialization deadline is *exactly*
-    /// this batch's instant back into the batch as a real `TxDone`, at
-    /// its reserved sequence number, then restore sequence order.
+    /// The batched drain behind [`run_until`](Self::run_until) and
+    /// [`run_to_completion`](Self::run_to_completion): every same-instant
+    /// batch comes off the heap in one interaction, the watchdog
+    /// observes it once, and events dispatch in the same (time, seq)
+    /// order the per-event path would have popped them. Same-instant
+    /// events scheduled *during* the batch carry higher sequence numbers
+    /// and form the next batch — order is preserved. The one exception
+    /// is a held wake that `kick` slots into the batch at its reserved
+    /// seq, which the per-event path had in the queue all along.
     ///
-    /// The per-event path pops that TxDone interleaved with same-instant
-    /// arrivals — enqueues with lower sequence numbers land before the
-    /// port resumes service, higher ones after — and scheduler selection
-    /// depends on exactly that interleaving. Deadlines already *past*
-    /// (no batch happened to fire at that instant) stay held: their
-    /// per-event TxDone was a no-op on an empty port, and the next
-    /// enqueue's kick expires them with identical effect.
-    fn materialize_held_wakes(&mut self, batch: &mut Vec<EventEntry<Event>>) {
-        if self.held.is_empty() {
-            return;
-        }
-        let at = batch[0].at;
-        let mut injected = false;
-        while let Some(&Reverse((until, link))) = self.held.peek() {
-            if until > at {
-                break;
-            }
-            self.held.pop();
-            let li = link as usize;
-            if let TxState::BusyHeld { until: u, seq } = self.links[li].tx {
-                if u == until && until == at {
-                    self.links[li].tx = TxState::BusyScheduled { until };
-                    batch.push(EventEntry { at, seq, event: Event::TxDone { link } });
-                    injected = true;
+    /// With `until_complete`, the per-event path re-checks the
+    /// completion condition before every pop, so the drain must not
+    /// overshoot: the moment the last flow completes mid-batch, the
+    /// undispatched tail goes back into the queue (original sequence
+    /// numbers, audit history rewound) — leaving the queue exactly as
+    /// the per-event path would have.
+    fn run_batched(&mut self, limit: Time, until_complete: bool) -> Result<(), TcnError> {
+        let done = |sim: &Self| until_complete && sim.completed >= sim.flows.len();
+        while !done(self) && self.events.pop_batch_until(limit, &mut self.batch) > 0 {
+            self.observe_batch()?;
+            self.batch.reverse();
+            while let Some(entry) = self.batch.pop() {
+                self.dispatching = entry.seq;
+                self.dispatch_event(entry.event, entry.at)?;
+                if done(self) {
+                    self.batch.reverse();
+                    self.events.unpop_batch_tail(&mut self.batch);
                 }
             }
         }
-        if injected {
-            batch.sort_unstable_by_key(|e| e.seq);
-        }
+        Ok(())
     }
 
     /// Account one dispatched event with the watchdog, if installed.
@@ -991,14 +947,15 @@ impl NetworkSim {
         Ok(())
     }
 
-    /// Account a whole same-instant batch with the watchdog, if
-    /// installed: one call per batch instead of one call per event.
-    fn observe_batch(&mut self, batch: &[EventEntry<Event>]) -> Result<(), TcnError> {
+    /// Account the batch just popped into `self.batch` with the
+    /// watchdog, if installed: one call per batch instead of one call
+    /// per event.
+    fn observe_batch(&mut self) -> Result<(), TcnError> {
         if let Some(wd) = &mut self.watchdog {
             let depth = self.events.len();
             let processed = self.events.processed();
-            let kinds = batch.iter().map(|e| e.event.kind_index());
-            wd.observe_batch(batch[0].at, kinds, depth, processed)?;
+            let kinds = self.batch.iter().map(|e| e.event.kind_index());
+            wd.observe_batch(self.batch[0].at, kinds, depth, processed)?;
         }
         Ok(())
     }
@@ -1042,43 +999,10 @@ impl NetworkSim {
                     self.dispatch_event(entry.event, entry.at)?;
                 }
             }
-            DispatchMode::Batched => {
-                let mut batch = std::mem::take(&mut self.batch);
-                let r = self.run_to_completion_batched(deadline, &mut batch);
-                self.batch = batch;
-                r?;
-            }
+            DispatchMode::Batched => self.run_batched(deadline, true)?,
         }
         self.audit_net();
         Ok(self.completed == self.flows.len())
-    }
-
-    /// Batched [`run_to_completion`](Self::run_to_completion) body. The
-    /// per-event path re-checks the completion condition before every
-    /// pop, so a batched drain must not overshoot: the moment the last
-    /// flow completes mid-batch, the undispatched tail goes back into
-    /// the queue (original sequence numbers, audit history rewound) and
-    /// the loop stops — leaving the queue exactly as the per-event path
-    /// would have.
-    fn run_to_completion_batched(
-        &mut self,
-        deadline: Time,
-        batch: &mut Vec<EventEntry<Event>>,
-    ) -> Result<(), TcnError> {
-        while self.completed < self.flows.len() && self.events.pop_batch_until(deadline, batch) > 0 {
-            self.materialize_held_wakes(batch);
-            self.observe_batch(batch)?;
-            let mut it = batch.drain(..);
-            while let Some(entry) = it.next() {
-                if self.completed >= self.flows.len() {
-                    let mut tail: Vec<_> = std::iter::once(entry).chain(it).collect();
-                    self.events.unpop_batch_tail(&mut tail);
-                    break;
-                }
-                self.dispatch_event(entry.event, entry.at)?;
-            }
-        }
-        Ok(())
     }
 
     /// Completed-flow records.
@@ -1341,12 +1265,14 @@ impl NetworkSim {
     /// before any draw — a faulty wire does not change the cadence.
     ///
     /// Wake-up scheduling is where per-port coalescing (DESIGN §7.6)
-    /// lives: in batched mode on a coalescing-eligible port, a `TxDone`
-    /// behind an *empty* queue is elided — its sequence slot is
-    /// reserved and held, materialized by a later enqueue that lands
-    /// before serialization finishes, or abandoned as a harmless gap.
-    /// Sequence allocation is identical either way, so coalesced runs
-    /// stay byte-identical to the reference path.
+    /// lives: in batched mode, a `TxDone` behind an *empty* queue is
+    /// elided — its sequence slot is reserved and held. The next kick
+    /// decides what the per-event path's wake would have done by then:
+    /// if it is still pending, the wake takes exactly its reserved slot
+    /// (in the queue, or in the rest of the batch at an exact tie);
+    /// otherwise it fired on an empty port and the reservation expires
+    /// as a harmless gap. Sequence allocation is identical either way,
+    /// so coalesced runs stay byte-identical to the reference path.
     fn kick(&mut self, link: u32, now: Time) -> Result<(), TcnError> {
         match self.links[link as usize].tx {
             TxState::Idle => {}
@@ -1354,12 +1280,21 @@ impl NetworkSim {
             TxState::BusyHeld { until, seq } => {
                 if now < until {
                     // Work showed up mid-serialization: the held wake
-                    // is needed after all. It takes exactly its
-                    // reserved slot, so ordering matches the path that
-                    // never elided it.
+                    // is needed after all.
                     self.links[link as usize].tx = TxState::BusyScheduled { until };
                     self.events
                         .schedule_at_reserved(until, seq, Event::TxDone { link });
+                    return Ok(());
+                }
+                if now == until && self.dispatching < seq {
+                    // The eager wake was popped with this batch and
+                    // has not fired yet: arrivals below its seq enqueue
+                    // before service resumes, those above after.
+                    self.links[link as usize].tx = TxState::BusyScheduled { until };
+                    let wake = EventEntry { at: now, seq, event: Event::TxDone { link } };
+                    self.observe_event(&wake.event, now)?;
+                    let at = self.batch.partition_point(|e| e.seq > seq);
+                    self.batch.insert(at, wake);
                     return Ok(());
                 }
                 // Serialization finished with nothing to send; the
@@ -1377,27 +1312,15 @@ impl NetworkSim {
             (pkt, txt, l.delay)
         };
         let until = now + txt;
-        let coalesce =
-            self.dispatch == DispatchMode::Batched && self.links[link as usize].coalesce;
-        if !coalesce {
-            self.events.schedule_at(until, Event::TxDone { link });
-            self.links[link as usize].tx = TxState::BusyScheduled { until };
-        } else if !self.links[link as usize].port.is_empty() {
-            // Backlog behind this packet: the wake is certainly needed.
-            // Schedule it eagerly through the reservation API so the
-            // sequence number matches the plain schedule exactly.
-            let seq = self.events.reserve_seq();
-            self.events
-                .schedule_at_reserved(until, seq, Event::TxDone { link });
-            self.links[link as usize].tx = TxState::BusyScheduled { until };
-        } else {
-            // Queue drained mid-service: hold the wake as a bare
-            // reservation (the common incast tail — most such wakes are
-            // never needed).
-            let seq = self.events.reserve_seq();
-            self.links[link as usize].tx = TxState::BusyHeld { until, seq };
-            self.held.push(Reverse((until, link)));
-        }
+        self.links[link as usize].tx =
+            if self.dispatch == DispatchMode::Batched && self.links[link as usize].port.is_empty() {
+                // Queue drained mid-service: hold the wake as a bare
+                // reservation (most such wakes are never needed).
+                TxState::BusyHeld { until, seq: self.events.reserve_seq() }
+            } else {
+                self.events.schedule_at(until, Event::TxDone { link });
+                TxState::BusyScheduled { until }
+            };
         if !self.link_up[link as usize] {
             // Blackholed: routing has not reconverged off this dead
             // link yet (or the packet was queued before it died).

@@ -566,14 +566,6 @@ impl Port {
     pub fn is_empty(&self) -> bool {
         self.core.occupancy == 0
     }
-
-    /// True when the network layer may elide trailing service wake-ups
-    /// on this port: the scheduler's idle `select` is pure, so skipping
-    /// the select-on-empty call a no-op wake would have made cannot
-    /// change any later scheduling decision (DESIGN §7.6).
-    pub fn coalescing_eligible(&self) -> bool {
-        self.sched.idle_select_is_pure()
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use tcn_net::{
     leaf_spine, single_switch, DispatchMode, FaultStats, FlowSpec, LeafSpineConfig, NetMutation,
     NetworkSim, PortSetup, TaggingPolicy,
 };
-use tcn_sched::{Dwrr, Wfq};
+use tcn_sched::{Dwrr, SpHybrid, Wfq};
 use tcn_sim::{FaultPlan, LinkFaultProfile, Rate, Time};
 use tcn_transport::{Cc, TcpConfig};
 
@@ -48,19 +48,25 @@ fn star_sim(wfq: bool) -> NetworkSim {
     sim
 }
 
-/// 4×4 leaf-spine with WFQ switch ports (coalescing-eligible at every
-/// hop) and cross-leaf flows from leaf 0 to leaf 3, so every byte
-/// crosses four links and ECMP spreads over the spines.
-fn fabric_sim() -> NetworkSim {
+/// 4×4 leaf-spine with cross-leaf flows from leaf 0 to leaf 3, so every
+/// byte crosses four links and ECMP spreads over the spines. Switch
+/// ports run WFQ over two queues or, as in the paper's fabric, SP/DWRR:
+/// one strict queue above two DWRR queues.
+fn fabric_sim(sp_dwrr: bool) -> NetworkSim {
+    let nqueues = if sp_dwrr { 3 } else { 2 };
     let mut sim = leaf_spine(
         LeafSpineConfig::small(),
         TcpConfig::preset(Cc::Dctcp).sim(),
         TaggingPolicy::Fixed,
         || PortSetup {
-            nqueues: 2,
+            nqueues,
             buffer: Some(300_000),
             tx_rate: None,
-            make_sched: Box::new(|| Box::new(Wfq::equal(2))),
+            make_sched: if sp_dwrr {
+                Box::new(|| Box::new(SpHybrid::new(1, Dwrr::equal(2, 1500))))
+            } else {
+                Box::new(|| Box::new(Wfq::equal(2)))
+            },
             make_aqm: Box::new(|| Box::new(Tcn::new(Time::from_us(100)))),
         },
     )
@@ -71,18 +77,18 @@ fn fabric_sim() -> NetworkSim {
             dst: 12 + (i % 4),
             size: 300_000,
             start: Time::from_us(u64::from(i / 4) * 10),
-            service: (i % 2) as u8,
+            service: (i as usize % nqueues) as u8,
         });
     }
     sim
 }
 
-/// [`fabric_sim`] on a bad day: loss and jitter on every wire, the
+/// The WFQ [`fabric_sim`] on a bad day: loss and jitter on every wire, the
 /// leaf0→spine0 uplink flapped by `LinkAdmin` mutations (routing
 /// reconverges twice), and leaf0→spine1 stepped down to 1 Gbps
 /// mid-transfer.
 fn faulty_fabric_sim() -> NetworkSim {
-    let mut sim = fabric_sim();
+    let mut sim = fabric_sim(false);
     sim.install_faults(
         &FaultPlan {
             default_profile: LinkFaultProfile {
@@ -158,21 +164,22 @@ fn assert_modes_agree(
 
 #[test]
 fn batched_dispatch_is_byte_identical_to_per_event() {
-    // DWRR star ports are coalescing-ineligible and exercise the plain
-    // batched drain; WFQ ports have a pure idle select, so batched mode
-    // elides trailing TxDone wakes — output must not move, on one hop
-    // or four, quiet or under faults and mid-run mutations.
+    // Batched mode elides trailing TxDone wakes on every port, DWRR
+    // and WFQ alike — output must not move, on one hop or four, quiet
+    // or under faults and mid-run mutations.
     assert_modes_agree("star/dwrr", || star_sim(false));
     assert_modes_agree("star/wfq", || star_sim(true));
-    assert_modes_agree("fabric/wfq", fabric_sim);
+    assert_modes_agree("fabric/wfq", || fabric_sim(false));
+    assert_modes_agree("fabric/sp-dwrr", || fabric_sim(true));
     let (_, _, fs) = assert_modes_agree("fabric/wfq + faults + mutations", faulty_fabric_sim);
     // The bad day actually happened.
     assert!(fs.loss_drops > 0 && fs.jitter_delays > 0);
     assert_eq!((fs.link_downs, fs.link_ups, fs.reconvergences), (1, 1, 2));
 }
 
-/// Held wakes (`BusyHeld`) are only ever materialized by the batched
-/// loop, so the reference loop may not take over a run in progress.
+/// Held wakes (`BusyHeld`) exist only as reserved sequence numbers that
+/// the batched loop resolves, so the reference loop may not take over a
+/// run in progress.
 #[test]
 #[should_panic(expected = "before the first event")]
 fn dispatch_mode_is_fixed_once_an_event_has_run() {

@@ -38,12 +38,6 @@ impl Scheduler for Fifo {
     fn name(&self) -> &'static str {
         "FIFO"
     }
-
-    fn idle_select_is_pure(&self) -> bool {
-        // `select` is a stateless scan; calling it on empty queues does
-        // nothing, so the port may coalesce service wakes.
-        true
-    }
 }
 
 /// Strict priority: queue 0 outranks queue 1 outranks queue 2, …
@@ -85,11 +79,6 @@ impl Scheduler for StrictPriority {
 
     fn name(&self) -> &'static str {
         "SP"
-    }
-
-    fn idle_select_is_pure(&self) -> bool {
-        // Stateless priority scan: same argument as FIFO.
-        true
     }
 }
 

@@ -63,6 +63,13 @@ pub trait Scheduler {
     fn on_enqueue(&mut self, queues: &[PacketQueue], q: usize, pkt: &Packet, now: Time);
 
     /// Choose the queue whose head departs next.
+    ///
+    /// With every queue empty, `select` returns `None` and changes no
+    /// state. Packets leave only through `on_dequeue`, which settles a
+    /// queue's bookkeeping the moment it drains (DWRR and WRR deactivate
+    /// it there), so an idle `select` finds nothing left to move. The
+    /// batched dispatch loop relies on this on every port: it skips the
+    /// select a trailing no-op service wake would make (DESIGN §7.6).
     fn select(&mut self, queues: &[PacketQueue], now: Time) -> Option<usize>;
 
     /// Bookkeeping after the head of queue `q` was removed.
@@ -101,22 +108,6 @@ pub trait Scheduler {
     /// Scheduler name for experiment tables.
     fn name(&self) -> &'static str;
 
-    /// True when calling [`select`](Self::select) with every queue empty
-    /// is a pure no-op: it returns `None` and mutates no scheduler
-    /// state, so *skipping* the call is observationally identical to
-    /// making it.
-    ///
-    /// This is the port-coalescing eligibility bit: a coalescing
-    /// dispatch loop elides the wasted select-on-empty that the eager
-    /// per-packet service loop performs at the end of every burst.
-    /// Schedulers whose empty select has side effects (DWRR deactivates
-    /// its current round position) must keep the default `false`, which
-    /// opts their ports out of coalescing and preserves byte-identical
-    /// behavior.
-    fn idle_select_is_pure(&self) -> bool {
-        false
-    }
-
     /// Install a telemetry probe scoped to this scheduler's port
     /// (`probe.ctx()` is the port index). Schedulers that emit
     /// `SchedService` events (DWRR) store it; the default is a no-op so
@@ -151,9 +142,6 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-    fn idle_select_is_pure(&self) -> bool {
-        (**self).idle_select_is_pure()
     }
     fn set_probe(&mut self, probe: tcn_telemetry::Probe) {
         (**self).set_probe(probe)
@@ -243,13 +231,6 @@ impl<S: Scheduler> Scheduler for Audited<S> {
 
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn idle_select_is_pure(&self) -> bool {
-        // The wrapper's own empty-select bookkeeping (`on_idle`) only
-        // observes, it never influences scheduling decisions — purity is
-        // the inner scheduler's property.
-        self.inner.idle_select_is_pure()
     }
 
     fn set_probe(&mut self, probe: tcn_telemetry::Probe) {
@@ -416,55 +397,48 @@ mod trait_tests {
     }
 
     #[test]
-    fn idle_select_purity_flags() {
-        // The coalescing eligibility bit must match each scheduler's
-        // actual empty-select behavior: DWRR mutates (deactivates its
-        // round position) so it must stay ineligible; the stateless /
-        // read-only selects advertise purity. Wrappers forward the
-        // inner scheduler's answer.
-        assert!(Fifo::new().idle_select_is_pure());
-        assert!(StrictPriority::new(4).idle_select_is_pure());
-        assert!(Wfq::equal(2).idle_select_is_pure());
-        assert!(!Dwrr::new(vec![1500; 4]).idle_select_is_pure());
-        assert!(!Wrr::new(vec![1, 2]).idle_select_is_pure());
-        assert!(!SpHybrid::new(1, Wfq::equal(2)).idle_select_is_pure());
-        assert!(!Pifo::new(4, StfqRank::new(vec![1.0; 4])).idle_select_is_pure());
-        let boxed: Box<dyn Scheduler> = Box::new(Fifo::new());
-        assert!(boxed.idle_select_is_pure());
-        assert!(Audited::new(StrictPriority::new(2)).idle_select_is_pure());
-        assert!(!Audited::new(Dwrr::new(vec![1500; 2])).idle_select_is_pure());
-    }
-
-    #[test]
     fn pure_idle_select_really_is_pure() {
-        // For every scheduler that claims purity: hammering select on
-        // empty queues, interleaved with real service, must not change
-        // the service order relative to never calling it.
-        fn service_order<S: Scheduler>(mut mk: impl FnMut() -> S, nq: usize, spam: bool) -> Vec<usize> {
-            let mut h = Harness::new(mk(), nq);
-            if spam {
-                for _ in 0..32 {
-                    assert_eq!(h.sched.select(&h.queues, h.now), None);
-                }
-            }
-            h.backlog(0, 1500, 4);
-            h.backlog(nq - 1, 900, 4);
-            let mut order = Vec::new();
-            while let Some(q) = h.serve_one() {
-                order.push(q);
-                if spam && h.queues.iter().all(|qu| qu.is_empty()) {
+        // The property `Scheduler::select` documents, for every
+        // scheduler: hammering select on empty queues between busy
+        // spells must not change what the next spell serves, nor the
+        // round state MQ-ECN reads. The quiet run serves exactly the
+        // packets it queued, so it never makes an idle select at all.
+        type Trace = Vec<(usize, Option<Time>, u64)>;
+        fn trace<S: Scheduler>(sched: S, nq: usize, spam: bool) -> Trace {
+            let mut h = Harness::new(sched, nq);
+            let mut out = Trace::new();
+            for spell in 0..4 {
+                if spam {
                     for _ in 0..8 {
                         assert_eq!(h.sched.select(&h.queues, h.now), None);
                     }
                 }
+                h.now += Time::from_us(50);
+                let mut queued = 0;
+                for q in 0..nq {
+                    let count = 2 + (q + spell) % 3;
+                    h.backlog(q, 600 + 300 * ((q + spell) % 4) as u32, count);
+                    queued += count;
+                }
+                for _ in 0..queued {
+                    let q = h.serve_one().expect("backlogged queue left unserved");
+                    out.push((q, h.sched.round_time(), h.sched.round_seq()));
+                }
             }
-            order
+            out
         }
-        assert_eq!(service_order(Fifo::new, 1, false), service_order(Fifo::new, 1, true));
-        let sp = || StrictPriority::new(3);
-        assert_eq!(service_order(sp, 3, false), service_order(sp, 3, true));
-        let wfq = || Wfq::equal(3);
-        assert_eq!(service_order(wfq, 3, false), service_order(wfq, 3, true));
+        fn check<S: Scheduler>(mk: impl Fn() -> S, nq: usize) {
+            let quiet = trace(mk(), nq, false);
+            assert_eq!(quiet, trace(mk(), nq, true), "{}: idle select moved state", mk().name());
+        }
+        check(Fifo::new, 1);
+        check(|| StrictPriority::new(3), 3);
+        check(|| Wfq::new(vec![1.0, 2.0, 1.0]), 3);
+        check(|| Dwrr::new(vec![1500, 3000, 1500]), 3);
+        check(|| Wrr::new(vec![1, 2, 1]), 3);
+        check(|| SpHybrid::new(1, Dwrr::equal(3, 1500)), 4);
+        check(|| SpHybrid::new(1, Wfq::equal(3)), 4);
+        check(|| Pifo::new(3, StfqRank::new(vec![1.0, 2.0, 1.0])), 3);
     }
 
     #[test]

@@ -122,12 +122,6 @@ impl Scheduler for Wfq {
     fn name(&self) -> &'static str {
         "WFQ"
     }
-
-    fn idle_select_is_pure(&self) -> bool {
-        // `select` only reads the tag queues; with everything empty it
-        // returns `None` without touching vtime or tags.
-        true
-    }
 }
 
 #[cfg(test)]

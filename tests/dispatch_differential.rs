@@ -19,7 +19,9 @@ use tcn_experiments::common::{params, switch_port, Scale, SchedKind};
 use tcn_experiments::fct_sweep::{self, SweepConfig};
 use tcn_experiments::scenario::{engine, fuzz};
 use tcn_experiments::Scheme;
-use tcn_net::{single_switch, DispatchMode, NetworkSim, TaggingPolicy, TransportChoice};
+use tcn_net::{
+    single_switch, DispatchMode, LeafSpineConfig, NetworkSim, TaggingPolicy, TransportChoice,
+};
 use tcn_sim::{QueueStats, Rate, Rng, Time};
 use tcn_workloads::{gen_incast, gen_many_to_one, Workload};
 
@@ -70,19 +72,39 @@ fn assert_slice_mode_invariant(cfg: &SweepConfig, tag: &str) {
     }
 }
 
-/// Fig. 6 slice (DWRR switch ports — coalescing-ineligible scheduler,
-/// so this exercises the plain batched drain behind coalescing host
-/// NICs).
+/// Fig. 6 slice (DWRR switch ports, whose trailing wakes the batched
+/// loop holds like every other port's).
 #[test]
 fn fig6_slice_is_dispatch_mode_invariant() {
     assert_slice_mode_invariant(&SweepConfig::fig6(), "fig6");
 }
 
-/// Fig. 7 slice (WFQ switch ports — a pure-idle-select scheduler, so
-/// batched mode coalesces trailing TxDone wakes at the switch too).
+/// Fig. 7 slice (WFQ switch ports).
 #[test]
 fn fig7_slice_is_dispatch_mode_invariant() {
     assert_slice_mode_invariant(&SweepConfig::fig7(), "fig7");
+}
+
+/// Fig. 10 slice: the paper's own fabric, SP/DWRR on every switch port
+/// of a leaf-spine, four hops per packet. A fabric cell costs what its
+/// largest flow costs (DESIGN §7.7), and seed 1's first 60 flows stop
+/// short of its ~0.9 GB flow, so this is the TCN cell at 60 flows.
+#[test]
+fn fig10_slice_is_dispatch_mode_invariant() {
+    let cfg = SweepConfig::fig10(LeafSpineConfig::small());
+    let scale = Scale {
+        flows: 60,
+        loads: &[0.7],
+        seed: 1,
+    };
+    let tcn = Scheme::Tcn {
+        threshold: params::sim::TCN_T_DCTCP,
+    };
+    assert_mode_invariant(
+        || fct_sweep::build_cell(&cfg, &scale, tcn, 0, 0.7, 0).expect("cell builds"),
+        Time::from_secs(10_000),
+        "fig10/TCN",
+    );
 }
 
 /// The seeded scenario fuzzer's scenarios — flows under link flaps,
@@ -148,7 +170,7 @@ fn fig6_star() -> NetworkSim {
 
 /// 32 senders fire five synchronized 64 KB waves, 2 ms apart, at one
 /// receiver through a FIFO+TCN switch on 10 Gbps links: dense
-/// same-timestamp batches, and every port coalescing-eligible.
+/// same-timestamp batches on all-FIFO ports.
 fn incast_star() -> NetworkSim {
     let rate = Rate::from_gbps(10);
     let scheme = Scheme::Tcn {
@@ -201,19 +223,30 @@ fn incast_counts(mode: DispatchMode) -> (u64, u64, u64, QueueStats) {
 
 /// Exact counts that repeat on any host (DESIGN §7.2, §7.4–7.6): the
 /// packet arena stops allocating after 36 slots, and the batched drain
-/// with wake coalescing pops 47 575 events for the per-event loop's
-/// 68 988 on the same simulation.
+/// with wake coalescing pops fewer events than the per-event loop on
+/// the same simulation — on the fig6 star's DWRR ports as on the
+/// incast's FIFO ports.
 #[test]
 fn engine_counts_are_pinned() {
-    let mut star = fig6_star();
-    assert!(star
-        .run_to_completion(Time::from_secs(10_000))
-        .expect("run"));
-    let a = star.arena_stats();
+    let star_events = |mode| {
+        let mut star = fig6_star();
+        star.set_dispatch_mode(mode);
+        assert!(star
+            .run_to_completion(Time::from_secs(10_000))
+            .expect("run"));
+        (star.events_processed(), star.arena_stats())
+    };
+    let (star_per_event, _) = star_events(DispatchMode::PerEvent);
+    let (star_batched, a) = star_events(DispatchMode::Batched);
     assert_eq!(
         (a.inserted, a.slot_allocs, a.recycled, a.high_water),
         (2_789_192, 36, 2_789_156, 36),
         "fig6 star arena counters"
+    );
+    assert_eq!(
+        (star_per_event, star_batched),
+        (5_582_656, 3_727_675),
+        "fig6 star events (per-event, batched)"
     );
 
     let (per_event, pe_fct, pe_drops, _) = incast_counts(DispatchMode::PerEvent);
