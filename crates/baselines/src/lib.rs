@@ -12,7 +12,6 @@
 //! | [`IdealRed`] | "ideal ECN/RED" driven by Algorithm 1 | queue length vs measured `C_i·RTT·λ` | enqueue |
 //! | [`OracleRed`] | ideal ECN/RED with *a-priori known* `C_i` (Fig. 5) | queue length | enqueue |
 //! | [`Pie`] | extension: PIE, the source of Algorithm 1 \[25\] | queueing delay estimate | enqueue |
-//! | [`PoolRed`] | per-service-pool ECN/RED (§3.2.2, cross-port) | pool occupancy | enqueue |
 //!
 //! [`DqRateMeter`] is the paper's **Algorithm 1** departure-rate
 //! (queue-capacity) estimator, exposed on its own because Fig. 2 evaluates
@@ -27,7 +26,6 @@ pub mod codel;
 pub mod dqrate;
 pub mod mqecn;
 pub mod pie;
-pub mod pool;
 pub mod red;
 
 pub use cap::QueueCap;
@@ -35,5 +33,4 @@ pub use codel::{CoDel, CoDelMode};
 pub use dqrate::{DqRateMeter, IdealRed};
 pub use mqecn::MqEcn;
 pub use pie::Pie;
-pub use pool::{PoolRed, ServicePool};
 pub use red::{ClassicRed, MarkPoint, OracleRed, RedEcn, Scope};

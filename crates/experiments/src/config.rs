@@ -4,14 +4,17 @@
 //!
 //! This is the "bring your own scenario" entry point for downstream
 //! users — everything the figure binaries hard-code is expressible here.
+//! The port, every duration and the fault knobs are spelled as in a
+//! scenario file ([`crate::vocab`]), and every object rejects a key it
+//! does not know.
 //!
 //! ```json
 //! {
-//!   "topology": { "kind": "single_switch", "hosts": 9, "rate_gbps": 1, "delay_us": 62 },
+//!   "topology": { "kind": "single_switch", "hosts": 9, "rate_gbps": 1, "delay": "62us" },
 //!   "port": {
-//!     "queues": 4, "buffer_bytes": 96000,
-//!     "scheduler": { "kind": "dwrr", "quantum": 1500 },
-//!     "aqm": { "kind": "tcn", "threshold_us": 256 }
+//!     "queues": 4, "buffer": 96000,
+//!     "sched": { "kind": "dwrr", "quantum": 1500 },
+//!     "scheme": { "kind": "tcn", "threshold": "256us" }
 //!   },
 //!   "transport": "testbed_dctcp",
 //!   "tagging": { "kind": "fixed" },
@@ -21,18 +24,20 @@
 //! }
 //! ```
 
+use crate::common::{SchedKind, Scheme};
 use crate::impl_to_json;
 use crate::json::{Json, ToJson};
+use crate::vocab::{
+    check_keys, duration_field, duration_json, fault_profile, fault_profile_fields, field, unknown,
+    PortPolicy, FAULT_KEYS,
+};
 use tcn_core::TcnError;
 use tcn_net::{
-    fat_tree, leaf_spine, single_switch, LeafSpineConfig, NetworkSim, PortSetup, TaggingPolicy,
-    TransportChoice,
+    fat_tree, leaf_spine, single_switch, LeafSpineConfig, NetworkSim, TaggingPolicy, TransportChoice,
 };
 use tcn_sim::{FaultPlan, LinkFaultProfile, LinkFlap, Rate, Rng, Time};
 use tcn_stats::FctBreakdown;
 use tcn_workloads::{gen_all_to_all, gen_incast, gen_many_to_one, Workload};
-
-use crate::common::{Scheme, SchedKind};
 
 /// Topology description.
 #[derive(Debug, Clone)]
@@ -43,8 +48,8 @@ pub enum TopologyCfg {
         hosts: usize,
         /// Link rate in Gb/s.
         rate_gbps: u64,
-        /// Per-link propagation in µs (base RTT = 4×).
-        delay_us: u64,
+        /// Per-link propagation (base RTT = 4×).
+        delay: Time,
     },
     /// Leaf-spine fabric.
     LeafSpine {
@@ -91,109 +96,6 @@ impl TopologyCfg {
     }
 }
 
-/// AQM description.
-#[derive(Debug, Clone)]
-pub enum AqmCfg {
-    /// TCN at the given sojourn threshold.
-    Tcn {
-        /// `T` in µs.
-        threshold_us: u64,
-    },
-    /// Probabilistic TCN.
-    TcnProb {
-        /// Lower threshold (µs).
-        t_min_us: u64,
-        /// Upper threshold (µs).
-        t_max_us: u64,
-        /// Max marking probability.
-        p_max: f64,
-    },
-    /// CoDel (marking mode).
-    Codel {
-        /// Target (µs).
-        target_us: u64,
-        /// Interval (µs).
-        interval_us: u64,
-    },
-    /// MQ-ECN.
-    MqEcn {
-        /// `RTT × λ` (µs).
-        rtt_lambda_us: u64,
-    },
-    /// Per-queue static RED.
-    RedQueue {
-        /// K in bytes.
-        threshold_bytes: u64,
-    },
-    /// Per-port static RED.
-    RedPort {
-        /// K in bytes.
-        threshold_bytes: u64,
-    },
-    /// No AQM (drop-tail).
-    DropTail,
-}
-
-impl AqmCfg {
-    fn scheme(&self) -> Scheme {
-        match *self {
-            AqmCfg::Tcn { threshold_us } => Scheme::Tcn {
-                threshold: Time::from_us(threshold_us),
-            },
-            AqmCfg::TcnProb {
-                t_min_us,
-                t_max_us,
-                p_max,
-            } => Scheme::TcnProb {
-                t_min: Time::from_us(t_min_us),
-                t_max: Time::from_us(t_max_us),
-                p_max,
-            },
-            AqmCfg::Codel {
-                target_us,
-                interval_us,
-            } => Scheme::CoDel {
-                target: Time::from_us(target_us),
-                interval: Time::from_us(interval_us),
-            },
-            AqmCfg::MqEcn { rtt_lambda_us } => Scheme::MqEcn {
-                rtt_lambda: Time::from_us(rtt_lambda_us),
-            },
-            AqmCfg::RedQueue { threshold_bytes } => Scheme::RedQueue {
-                threshold: threshold_bytes,
-            },
-            AqmCfg::RedPort { threshold_bytes } => Scheme::RedPort {
-                threshold: threshold_bytes,
-            },
-            AqmCfg::DropTail => Scheme::DropTail,
-        }
-    }
-}
-
-/// Port policy.
-#[derive(Debug, Clone)]
-pub struct PortCfg {
-    /// Queues per port.
-    pub queues: usize,
-    /// Shared buffer per port in bytes.
-    pub buffer_bytes: u64,
-    /// Scheduler.
-    pub scheduler: SchedKind,
-    /// AQM.
-    pub aqm: AqmCfg,
-}
-
-/// Transport choice (mirrors [`TransportChoice`]).
-#[derive(Debug, Clone, Copy)]
-pub enum TransportCfg {
-    /// DCTCP, simulation parameters.
-    SimDctcp,
-    /// ECN*, simulation parameters.
-    SimEcnStar,
-    /// DCTCP, testbed parameters.
-    TestbedDctcp,
-}
-
 /// Workload description.
 #[derive(Debug, Clone)]
 pub enum WorkloadCfg {
@@ -233,37 +135,20 @@ pub enum WorkloadCfg {
     },
 }
 
-/// One scheduled link flap (times in µs; `up_at_us` absent = stays
-/// down for the rest of the run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlapCfg {
-    /// Link index to flap (see the topology's link-layout docs).
-    pub link: u32,
-    /// When the link goes dark.
-    pub down_at_us: u64,
-    /// When it comes back, if ever.
-    pub up_at_us: Option<u64>,
-}
-
 /// Optional fault-injection section (`"faults"`). Every field defaults
 /// to "off", so `{ "faults": { "loss": 0.001 } }` is a valid minimal
 /// chaos config; omitting the section entirely runs a healthy fabric
 /// with zero fault-RNG draws.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultsCfg {
-    /// Bernoulli per-packet loss probability on every link.
-    pub loss: f64,
-    /// Bernoulli per-packet corruption probability (dropped at the
-    /// receiving NIC, counted separately from loss).
-    pub corrupt: f64,
-    /// Probability a packet is held back by extra jitter delay.
-    pub jitter_prob: f64,
-    /// Upper bound on the injected jitter delay (µs).
-    pub jitter_max_us: u64,
-    /// Delay between a link state change and routing reconvergence (µs).
-    pub detection_delay_us: u64,
-    /// Scheduled link flaps.
-    pub flaps: Vec<FlapCfg>,
+    /// Loss, corruption (dropped at the receiving NIC, counted apart
+    /// from loss) and jitter on every link.
+    pub profile: LinkFaultProfile,
+    /// Delay between a link state change and routing reconvergence.
+    pub detection_delay: Time,
+    /// Scheduled link flaps (`up_at` absent = down for the rest of the
+    /// run).
+    pub flaps: Vec<LinkFlap>,
 }
 
 impl FaultsCfg {
@@ -271,25 +156,12 @@ impl FaultsCfg {
     /// decorrelated from the workload seed so adding faults never
     /// reshuffles arrivals.
     pub fn plan(&self, seed: u64) -> FaultPlan {
-        let mut plan = FaultPlan {
-            default_profile: LinkFaultProfile {
-                loss: self.loss,
-                corrupt: self.corrupt,
-                jitter_prob: self.jitter_prob,
-                jitter_max: Time::from_us(self.jitter_max_us),
-                ..LinkFaultProfile::NONE
-            },
+        FaultPlan {
+            default_profile: self.profile,
+            flaps: self.flaps.clone(),
+            detection_delay: self.detection_delay,
             ..FaultPlan::quiet(seed ^ 0xFA_0717)
-        };
-        plan = plan.with_detection_delay(Time::from_us(self.detection_delay_us));
-        for f in &self.flaps {
-            plan = plan.with_flap(LinkFlap {
-                link: f.link,
-                down_at: Time::from_us(f.down_at_us),
-                up_at: f.up_at_us.map(Time::from_us),
-            });
         }
-        plan
     }
 }
 
@@ -299,9 +171,9 @@ pub struct ExperimentCfg {
     /// Topology.
     pub topology: TopologyCfg,
     /// Per-switch-port policy.
-    pub port: PortCfg,
+    pub port: PortPolicy,
     /// Transport.
-    pub transport: TransportCfg,
+    pub transport: TransportChoice,
     /// DSCP tagging.
     pub tagging: TaggingPolicy,
     /// Workload.
@@ -354,47 +226,42 @@ impl_to_json!(RunReport {
 // --- Hand-written JSON (de)serialization -------------------------------
 //
 // The workspace builds offline with zero external crates, so the config
-// format is read and written through `crate::json` instead of serde.
-// The wire format is unchanged: tagged objects (`"kind"`) with
-// snake_case tags and field names.
+// format is read and written through `crate::json` instead of serde:
+// tagged objects (`"kind"`) with snake_case tags and field names.
 
-/// Optional microsecond field of an object, small enough for the
-/// picosecond clock (`Time::from_us` multiplies unchecked).
-fn opt_us_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    let Some(x) = v.get(key) else { return Ok(None) };
-    x.as_u64()
-        .filter(|us| us.checked_mul(1_000_000).is_some())
-        .map(Some)
-        .ok_or_else(|| format!("field `{key}` must be a whole number of µs inside the picosecond clock"))
-}
-
-/// Required microsecond field of an object.
-fn us_field(v: &Json, key: &str) -> Result<u64, String> {
-    opt_us_field(v, key)?.ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn unknown(what: &str, got: &str, expect: &[&str]) -> String {
-    format!("unknown {what} `{got}` (expected one of: {})", expect.join(", "))
+/// `check_keys` for a tagged object: `kind`, `common` and `params`.
+fn kind_keys(v: &Json, ctx: &str, common: &[&str], params: &[&str]) -> Result<(), String> {
+    check_keys(v, &[&["kind"], common, params].concat(), ctx)
 }
 
 impl TopologyCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
+        let keys = |params: &[&str]| kind_keys(v, "topology", &["rate_gbps"], params);
         match v.kind().map_err(|e| format!("topology: {e}"))? {
-            "single_switch" => Ok(TopologyCfg::SingleSwitch {
-                hosts: v.int_field("hosts")?,
-                rate_gbps: v.u64_field("rate_gbps")?,
-                delay_us: us_field(v, "delay_us")?,
-            }),
-            "leaf_spine" => Ok(TopologyCfg::LeafSpine {
-                leaves: v.int_field("leaves")?,
-                spines: v.int_field("spines")?,
-                hosts_per_leaf: v.int_field("hosts_per_leaf")?,
-                rate_gbps: v.u64_field("rate_gbps")?,
-            }),
-            "fat_tree" => Ok(TopologyCfg::FatTree {
-                k: v.int_field("k")?,
-                rate_gbps: v.u64_field("rate_gbps")?,
-            }),
+            "single_switch" => {
+                keys(&["hosts", "delay"])?;
+                Ok(TopologyCfg::SingleSwitch {
+                    hosts: v.int_field("hosts")?,
+                    rate_gbps: v.u64_field("rate_gbps")?,
+                    delay: duration_field(v, "delay", None)?,
+                })
+            }
+            "leaf_spine" => {
+                keys(&["leaves", "spines", "hosts_per_leaf"])?;
+                Ok(TopologyCfg::LeafSpine {
+                    leaves: v.int_field("leaves")?,
+                    spines: v.int_field("spines")?,
+                    hosts_per_leaf: v.int_field("hosts_per_leaf")?,
+                    rate_gbps: v.u64_field("rate_gbps")?,
+                })
+            }
+            "fat_tree" => {
+                keys(&["k"])?;
+                Ok(TopologyCfg::FatTree {
+                    k: v.int_field("k")?,
+                    rate_gbps: v.u64_field("rate_gbps")?,
+                })
+            }
             other => Err(unknown(
                 "topology kind",
                 other,
@@ -410,12 +277,12 @@ impl ToJson for TopologyCfg {
             TopologyCfg::SingleSwitch {
                 hosts,
                 rate_gbps,
-                delay_us,
+                delay,
             } => Json::obj(vec![
                 ("kind", "single_switch".to_json()),
                 ("hosts", hosts.to_json()),
                 ("rate_gbps", rate_gbps.to_json()),
-                ("delay_us", delay_us.to_json()),
+                ("delay", duration_json(delay)),
             ]),
             TopologyCfg::LeafSpine {
                 leaves,
@@ -438,182 +305,51 @@ impl ToJson for TopologyCfg {
     }
 }
 
-fn sched_from_json(v: &Json) -> Result<SchedKind, String> {
-    match v.kind().map_err(|e| format!("scheduler: {e}"))? {
-        "fifo" => Ok(SchedKind::Fifo),
-        "sp" => Ok(SchedKind::Sp),
-        "wrr" => Ok(SchedKind::Wrr),
-        "dwrr" => Ok(SchedKind::Dwrr {
-            quantum: v.u64_field("quantum")?,
-        }),
-        "wfq" => Ok(SchedKind::Wfq),
-        "sp_dwrr" => Ok(SchedKind::SpDwrr {
-            quantum: v.u64_field("quantum")?,
-        }),
-        "sp_wfq" => Ok(SchedKind::SpWfq),
-        "pifo_stfq" => Ok(SchedKind::PifoStfq),
-        other => Err(unknown(
-            "scheduler kind",
-            other,
-            &["fifo", "sp", "wrr", "dwrr", "wfq", "sp_dwrr", "sp_wfq", "pifo_stfq"],
-        )),
+/// A transport's name in the config format.
+fn transport_name(t: TransportChoice) -> &'static str {
+    match t {
+        TransportChoice::SimDctcp => "sim_dctcp",
+        TransportChoice::SimEcnStar => "sim_ecn_star",
+        TransportChoice::TestbedDctcp => "testbed_dctcp",
+        // Write-only: the mixed-tenant figure's transports.
+        TransportChoice::SimCubic => "sim_cubic",
+        TransportChoice::SimBbr => "sim_bbr",
     }
 }
 
-impl ToJson for SchedKind {
+/// The transports a config may name.
+const TRANSPORTS: [TransportChoice; 3] = [
+    TransportChoice::SimDctcp,
+    TransportChoice::SimEcnStar,
+    TransportChoice::TestbedDctcp,
+];
+
+fn transport_from_json(v: &Json) -> Result<TransportChoice, String> {
+    let name = v.as_str().ok_or("transport must be a string")?;
+    TRANSPORTS
+        .into_iter()
+        .find(|&t| transport_name(t) == name)
+        .ok_or_else(|| unknown("transport", name, &TRANSPORTS.map(transport_name)))
+}
+
+impl ToJson for TransportChoice {
     fn to_json(&self) -> Json {
-        let (kind, quantum) = match *self {
-            SchedKind::Fifo => ("fifo", None),
-            SchedKind::Sp => ("sp", None),
-            SchedKind::Wrr => ("wrr", None),
-            SchedKind::Dwrr { quantum } => ("dwrr", Some(quantum)),
-            SchedKind::Wfq => ("wfq", None),
-            SchedKind::SpDwrr { quantum } => ("sp_dwrr", Some(quantum)),
-            SchedKind::SpWfq => ("sp_wfq", None),
-            SchedKind::PifoStfq => ("pifo_stfq", None),
-            // The demo's fixed-weight preset is not part of the config
-            // format: it prints, and reading it back is an unknown kind.
-            SchedKind::PifoStfq4211 => ("pifo_stfq_4211", None),
-        };
-        let mut fields = vec![("kind", kind.to_json())];
-        if let Some(q) = quantum {
-            fields.push(("quantum", q.to_json()));
-        }
-        Json::obj(fields)
-    }
-}
-
-impl AqmCfg {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.kind().map_err(|e| format!("aqm: {e}"))? {
-            "tcn" => Ok(AqmCfg::Tcn {
-                threshold_us: us_field(v, "threshold_us")?,
-            }),
-            "tcn_prob" => Ok(AqmCfg::TcnProb {
-                t_min_us: us_field(v, "t_min_us")?,
-                t_max_us: us_field(v, "t_max_us")?,
-                p_max: v.f64_field("p_max")?,
-            }),
-            "codel" => Ok(AqmCfg::Codel {
-                target_us: us_field(v, "target_us")?,
-                interval_us: us_field(v, "interval_us")?,
-            }),
-            "mq_ecn" => Ok(AqmCfg::MqEcn {
-                rtt_lambda_us: us_field(v, "rtt_lambda_us")?,
-            }),
-            "red_queue" => Ok(AqmCfg::RedQueue {
-                threshold_bytes: v.u64_field("threshold_bytes")?,
-            }),
-            "red_port" => Ok(AqmCfg::RedPort {
-                threshold_bytes: v.u64_field("threshold_bytes")?,
-            }),
-            "drop_tail" => Ok(AqmCfg::DropTail),
-            other => Err(unknown(
-                "aqm kind",
-                other,
-                &["tcn", "tcn_prob", "codel", "mq_ecn", "red_queue", "red_port", "drop_tail"],
-            )),
-        }
-    }
-}
-
-impl ToJson for AqmCfg {
-    fn to_json(&self) -> Json {
-        match *self {
-            AqmCfg::Tcn { threshold_us } => Json::obj(vec![
-                ("kind", "tcn".to_json()),
-                ("threshold_us", threshold_us.to_json()),
-            ]),
-            AqmCfg::TcnProb {
-                t_min_us,
-                t_max_us,
-                p_max,
-            } => Json::obj(vec![
-                ("kind", "tcn_prob".to_json()),
-                ("t_min_us", t_min_us.to_json()),
-                ("t_max_us", t_max_us.to_json()),
-                ("p_max", p_max.to_json()),
-            ]),
-            AqmCfg::Codel {
-                target_us,
-                interval_us,
-            } => Json::obj(vec![
-                ("kind", "codel".to_json()),
-                ("target_us", target_us.to_json()),
-                ("interval_us", interval_us.to_json()),
-            ]),
-            AqmCfg::MqEcn { rtt_lambda_us } => Json::obj(vec![
-                ("kind", "mq_ecn".to_json()),
-                ("rtt_lambda_us", rtt_lambda_us.to_json()),
-            ]),
-            AqmCfg::RedQueue { threshold_bytes } => Json::obj(vec![
-                ("kind", "red_queue".to_json()),
-                ("threshold_bytes", threshold_bytes.to_json()),
-            ]),
-            AqmCfg::RedPort { threshold_bytes } => Json::obj(vec![
-                ("kind", "red_port".to_json()),
-                ("threshold_bytes", threshold_bytes.to_json()),
-            ]),
-            AqmCfg::DropTail => Json::obj(vec![("kind", "drop_tail".to_json())]),
-        }
-    }
-}
-
-impl PortCfg {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(PortCfg {
-            queues: v.int_field("queues")?,
-            buffer_bytes: v.u64_field("buffer_bytes")?,
-            scheduler: sched_from_json(
-                v.get("scheduler").ok_or("port: missing field `scheduler`")?,
-            )?,
-            aqm: AqmCfg::from_json(v.get("aqm").ok_or("port: missing field `aqm`")?)?,
-        })
-    }
-}
-
-impl ToJson for PortCfg {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("queues", self.queues.to_json()),
-            ("buffer_bytes", self.buffer_bytes.to_json()),
-            ("scheduler", self.scheduler.to_json()),
-            ("aqm", self.aqm.to_json()),
-        ])
-    }
-}
-
-impl TransportCfg {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str().ok_or("transport must be a string")? {
-            "sim_dctcp" => Ok(TransportCfg::SimDctcp),
-            "sim_ecn_star" => Ok(TransportCfg::SimEcnStar),
-            "testbed_dctcp" => Ok(TransportCfg::TestbedDctcp),
-            other => Err(unknown(
-                "transport",
-                other,
-                &["sim_dctcp", "sim_ecn_star", "testbed_dctcp"],
-            )),
-        }
-    }
-}
-
-impl ToJson for TransportCfg {
-    fn to_json(&self) -> Json {
-        match self {
-            TransportCfg::SimDctcp => "sim_dctcp".to_json(),
-            TransportCfg::SimEcnStar => "sim_ecn_star".to_json(),
-            TransportCfg::TestbedDctcp => "testbed_dctcp".to_json(),
-        }
+        transport_name(*self).to_json()
     }
 }
 
 fn tagging_from_json(v: &Json) -> Result<TaggingPolicy, String> {
     match v.kind().map_err(|e| format!("tagging: {e}"))? {
-        "fixed" => Ok(TaggingPolicy::Fixed),
-        "pias" => Ok(TaggingPolicy::Pias {
-            threshold: v.u64_field("threshold")?,
-        }),
+        "fixed" => {
+            kind_keys(v, "tagging", &[], &[])?;
+            Ok(TaggingPolicy::Fixed)
+        }
+        "pias" => {
+            kind_keys(v, "tagging", &[], &["threshold"])?;
+            Ok(TaggingPolicy::Pias {
+                threshold: v.u64_field("threshold")?,
+            })
+        }
         other => Err(unknown("tagging kind", other, &["fixed", "pias"])),
     }
 }
@@ -656,8 +392,10 @@ impl ToJson for Workload {
 
 impl WorkloadCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
+        let keys = |params: &[&str]| kind_keys(v, "workload", &[], params);
         match v.kind().map_err(|e| format!("workload: {e}"))? {
             "many_to_one" => {
+                keys(&["flows", "load", "cdf", "receiver", "services"])?;
                 let services = v
                     .get("services")
                     .ok_or("workload: missing field `services`")?
@@ -679,17 +417,23 @@ impl WorkloadCfg {
                     services,
                 })
             }
-            "all_to_all" => Ok(WorkloadCfg::AllToAll {
-                flows: v.int_field("flows")?,
-                load: v.f64_field("load")?,
-                services: v.int_field("services")?,
-            }),
-            "incast" => Ok(WorkloadCfg::Incast {
-                fanout: v.int_field("fanout")?,
-                size: v.u64_field("size")?,
-                waves: v.int_field("waves")?,
-                receiver: v.int_field("receiver")?,
-            }),
+            "all_to_all" => {
+                keys(&["flows", "load", "services"])?;
+                Ok(WorkloadCfg::AllToAll {
+                    flows: v.int_field("flows")?,
+                    load: v.f64_field("load")?,
+                    services: v.int_field("services")?,
+                })
+            }
+            "incast" => {
+                keys(&["fanout", "size", "waves", "receiver"])?;
+                Ok(WorkloadCfg::Incast {
+                    fanout: v.int_field("fanout")?,
+                    size: v.u64_field("size")?,
+                    waves: v.int_field("waves")?,
+                    receiver: v.int_field("receiver")?,
+                })
+            }
             other => Err(unknown(
                 "workload kind",
                 other,
@@ -742,54 +486,38 @@ impl ToJson for WorkloadCfg {
     }
 }
 
-impl FlapCfg {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(FlapCfg {
-            link: v.int_field("link")?,
-            down_at_us: us_field(v, "down_at_us")?,
-            up_at_us: opt_us_field(v, "up_at_us")?,
-        })
-    }
+fn flap_from_json(v: &Json) -> Result<LinkFlap, String> {
+    check_keys(v, &["link", "down_at", "up_at"], "faults.flaps")?;
+    Ok(LinkFlap {
+        link: v.int_field("link")?,
+        down_at: duration_field(v, "down_at", None)?,
+        up_at: v.get("up_at").map(|_| duration_field(v, "up_at", None)).transpose()?,
+    })
 }
 
-impl ToJson for FlapCfg {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("link", self.link.to_json()),
-            ("down_at_us", self.down_at_us.to_json()),
-        ];
-        if let Some(up) = self.up_at_us {
-            fields.push(("up_at_us", up.to_json()));
-        }
-        Json::obj(fields)
+fn flap_json(f: &LinkFlap) -> Json {
+    let mut fields = vec![("link", f.link.to_json()), ("down_at", duration_json(f.down_at))];
+    if let Some(up) = f.up_at {
+        fields.push(("up_at", duration_json(up)));
     }
+    Json::obj(fields)
 }
 
 impl FaultsCfg {
     fn from_json(v: &Json) -> Result<Self, String> {
-        let opt_f64 = |key: &str| -> Result<f64, String> {
-            match v.get(key) {
-                Some(x) => x
-                    .as_f64()
-                    .ok_or_else(|| format!("faults: `{key}` must be a number")),
-                None => Ok(0.0),
-            }
-        };
+        check_keys(v, &[&FAULT_KEYS[..], &["detection_delay", "flaps"]].concat(), "faults")?;
         let flaps = match v.get("flaps") {
             Some(a) => a
                 .as_arr()
                 .ok_or("faults: `flaps` must be an array")?
                 .iter()
-                .map(FlapCfg::from_json)
+                .map(flap_from_json)
                 .collect::<Result<Vec<_>, String>>()?,
             None => Vec::new(),
         };
         Ok(FaultsCfg {
-            loss: opt_f64("loss")?,
-            corrupt: opt_f64("corrupt")?,
-            jitter_prob: opt_f64("jitter_prob")?,
-            jitter_max_us: opt_us_field(v, "jitter_max_us")?.unwrap_or(0),
-            detection_delay_us: opt_us_field(v, "detection_delay_us")?.unwrap_or(0),
+            profile: fault_profile(v)?,
+            detection_delay: duration_field(v, "detection_delay", Some(Time::ZERO))?,
             flaps,
         })
     }
@@ -797,14 +525,10 @@ impl FaultsCfg {
 
 impl ToJson for FaultsCfg {
     fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("loss", self.loss.to_json()),
-            ("corrupt", self.corrupt.to_json()),
-            ("jitter_prob", self.jitter_prob.to_json()),
-            ("jitter_max_us", self.jitter_max_us.to_json()),
-            ("detection_delay_us", self.detection_delay_us.to_json()),
-            ("flaps", self.flaps.to_json()),
-        ])
+        let mut fields = Vec::from(fault_profile_fields(&self.profile));
+        fields.push(("detection_delay", duration_json(self.detection_delay)));
+        fields.push(("flaps", Json::Arr(self.flaps.iter().map(flap_json).collect())));
+        Json::obj(fields)
     }
 }
 
@@ -812,7 +536,7 @@ impl ToJson for ExperimentCfg {
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("topology", self.topology.to_json()),
-            ("port", self.port.to_json()),
+            ("port", Json::obj(self.port.fields().into())),
             ("transport", self.transport.to_json()),
             ("tagging", self.tagging.to_json()),
             ("workload", self.workload.to_json()),
@@ -826,9 +550,9 @@ impl ToJson for ExperimentCfg {
 }
 
 impl ExperimentCfg {
-    /// Parse from JSON and validate: every value the simulator crates
-    /// would reject with an assertion (or silently run nonsense on) is
-    /// an error here.
+    /// Parse from JSON and validate: a key the format does not know, and
+    /// every value the simulator crates would reject with an assertion
+    /// (or silently run nonsense on), is an error here.
     ///
     /// # Errors
     /// `line:col: message` for malformed JSON, otherwise
@@ -841,31 +565,27 @@ impl ExperimentCfg {
     }
 
     fn from_value(v: &Json) -> Result<Self, String> {
+        check_keys(
+            v,
+            &["topology", "port", "transport", "tagging", "workload", "faults", "seed"],
+            "config",
+        )?;
+        let section = |key: &str| v.get(key).ok_or_else(|| format!("missing field `{key}`"));
+        let port = section("port")?;
+        check_keys(port, &PortPolicy::KEYS, "port")?;
         Ok(ExperimentCfg {
-            topology: TopologyCfg::from_json(
-                v.get("topology").ok_or("missing field `topology`")?,
-            )?,
-            port: PortCfg::from_json(v.get("port").ok_or("missing field `port`")?)?,
-            transport: TransportCfg::from_json(
-                v.get("transport").ok_or("missing field `transport`")?,
-            )?,
-            tagging: tagging_from_json(v.get("tagging").ok_or("missing field `tagging`")?)?,
-            workload: WorkloadCfg::from_json(
-                v.get("workload").ok_or("missing field `workload`")?,
-            )?,
-            faults: match v.get("faults") {
-                Some(f) => Some(FaultsCfg::from_json(f)?),
-                None => None,
-            },
-            seed: match v.get("seed") {
-                Some(s) => s.as_u64().ok_or("field `seed` must be a non-negative integer")?,
-                None => 1,
-            },
+            topology: TopologyCfg::from_json(section("topology")?)?,
+            port: PortPolicy::from_json(port, "port", None)?,
+            transport: transport_from_json(section("transport")?)?,
+            tagging: tagging_from_json(section("tagging")?)?,
+            workload: WorkloadCfg::from_json(section("workload")?)?,
+            faults: v.get("faults").map(FaultsCfg::from_json).transpose()?,
+            seed: field(v, "seed", Some(1), |_| v.u64_field("seed"))?,
         })
     }
 
     /// Check the values against each other and against what the
-    /// simulator crates assert.
+    /// simulator crates assert (the port's own checks run as it is read).
     fn validate(&self) -> Result<(), String> {
         let ensure = |ok: bool, problem: String| if ok { Ok(()) } else { Err(problem) };
         let (TopologyCfg::SingleSwitch { rate_gbps, .. }
@@ -877,24 +597,6 @@ impl ExperimentCfg {
         )?;
         let hosts = self.topology.hosts();
         ensure(hosts >= 2, format!("topology: {hosts} host(s), traffic needs at least 2"))?;
-
-        let sched = self.port.scheduler;
-        let min_queues = if matches!(sched, SchedKind::SpDwrr { .. } | SchedKind::SpWfq) { 2 } else { 1 };
-        ensure(
-            self.port.queues >= min_queues,
-            format!("port.queues: the {} scheduler needs at least {min_queues}", sched.name()),
-        )?;
-        ensure(
-            !matches!(sched, SchedKind::Dwrr { quantum: 0 } | SchedKind::SpDwrr { quantum: 0 }),
-            "port.scheduler.quantum: must be positive".into(),
-        )?;
-        if let AqmCfg::TcnProb { t_min_us, t_max_us, p_max } = self.port.aqm {
-            ensure(
-                t_min_us <= t_max_us,
-                format!("port.aqm.t_min_us: {t_min_us} exceeds t_max_us {t_max_us}"),
-            )?;
-            ensure(p_max > 0.0 && p_max <= 1.0, format!("port.aqm.p_max: {p_max} is not in (0, 1]"))?;
-        }
 
         let (load, receiver, sources) = match &self.workload {
             WorkloadCfg::ManyToOne { load, receiver, services, .. } => {
@@ -925,32 +627,15 @@ impl ExperimentCfg {
     /// Returns [`TcnError::Topology`] / [`TcnError::Config`] when the
     /// configured topology cannot be realized.
     pub fn build(&self) -> Result<NetworkSim, TcnError> {
-        let tcp = match self.transport {
-            TransportCfg::SimDctcp => TransportChoice::SimDctcp,
-            TransportCfg::SimEcnStar => TransportChoice::SimEcnStar,
-            TransportCfg::TestbedDctcp => TransportChoice::TestbedDctcp,
-        }
-        .config();
+        let tcp = self.transport.config();
         let tagging = self.tagging;
         let rate = self.topology.rate();
-        let port = self.port.clone();
-        let seed = self.seed;
-        let sched = port.scheduler;
-        let scheme = port.aqm.scheme();
-        let mk = move || PortSetup {
-            nqueues: port.queues,
-            buffer: Some(port.buffer_bytes),
-            tx_rate: None,
-            make_sched: {
-                let nq = port.queues;
-                Box::new(move || sched.make(nq))
-            },
-            make_aqm: Box::new(move || scheme.make_aqm(rate, 1500, seed)),
-        };
+        let (port, seed) = (self.port, self.seed);
+        let mk = move || port.setup(rate, 1500, seed);
         let mut sim = match self.topology {
-            TopologyCfg::SingleSwitch {
-                hosts, delay_us, ..
-            } => single_switch(hosts, rate, Time::from_us(delay_us), tcp, tagging, mk)?,
+            TopologyCfg::SingleSwitch { hosts, delay, .. } => {
+                single_switch(hosts, rate, delay, tcp, tagging, mk)?
+            }
             TopologyCfg::LeafSpine {
                 leaves,
                 spines,
@@ -1079,15 +764,15 @@ pub fn example_json() -> String {
         topology: TopologyCfg::SingleSwitch {
             hosts: 9,
             rate_gbps: 1,
-            delay_us: 62,
+            delay: Time::from_us(62),
         },
-        port: PortCfg {
+        port: PortPolicy {
             queues: 4,
-            buffer_bytes: 96_000,
-            scheduler: SchedKind::Dwrr { quantum: 1_500 },
-            aqm: AqmCfg::Tcn { threshold_us: 256 },
+            buffer: 96_000,
+            sched: SchedKind::Dwrr { quantum: 1_500 },
+            scheme: Scheme::Tcn { threshold: Time::from_us(256) },
         },
-        transport: TransportCfg::TestbedDctcp,
+        transport: TransportChoice::TestbedDctcp,
         tagging: TaggingPolicy::Fixed,
         workload: WorkloadCfg::ManyToOne {
             flows: 1_000,
@@ -1131,21 +816,21 @@ mod tests {
     /// simulator crate, or ran a simulation of nothing.
     #[test]
     fn single_field_edits_of_the_example_are_field_named_errors() {
-        let tcn = "\"kind\": \"tcn\",\n      \"threshold_us\": 256";
+        let tcn = "\"kind\": \"tcn\",\n      \"threshold\": \"256us\"";
         let prob = |t_min: u64, p_max: f64| {
-            format!(r#""kind": "tcn_prob", "t_min_us": {t_min}, "t_max_us": 300, "p_max": {p_max}"#)
+            format!(r#""kind": "tcn_prob", "t_min": "{t_min}us", "t_max": "300us", "p_max": {p_max}"#)
         };
         let edits: Vec<(&str, String, &str)> = vec![
             ("\"receiver\": 8", "\"receiver\": 99".into(), "workload.receiver"),
             ("\"queues\": 4", "\"queues\": 0".into(), "port.queues"),
             ("\"load\": 0.6", "\"load\": 0".into(), "workload.load"),
             ("\"load\": 0.6", "\"load\": -0.5".into(), "workload.load"),
-            ("\"quantum\": 1500", "\"quantum\": 0".into(), "port.scheduler.quantum"),
-            (tcn, prob(400, 0.5), "port.aqm.t_min_us"),
-            (tcn, prob(100, 0.0), "port.aqm.p_max"),
-            (tcn, prob(100, 1.5), "port.aqm.p_max"),
+            ("\"quantum\": 1500", "\"quantum\": 0".into(), "port.sched.quantum"),
+            (tcn, prob(400, 0.5), "port.scheme.t_min"),
+            (tcn, prob(100, 0.0), "port.scheme.p_max"),
+            (tcn, prob(100, 1.5), "port.scheme.p_max"),
             ("\"rate_gbps\": 1", "\"rate_gbps\": 0".into(), "topology.rate_gbps"),
-            ("\"delay_us\": 62", "\"delay_us\": 99999999999999".into(), "field `delay_us`"),
+            ("\"delay\": \"62us\"", "\"delay\": \"99999999999999us\"".into(), "field `delay`"),
             ("\"hosts\": 9", "\"hosts\": 1".into(), "topology"),
             ("0,\n      1,\n      2,\n      3\n    ]", "]".into(), "workload.services"),
             // Past the field's integer type: wrapped, these would be a valid
@@ -1153,7 +838,7 @@ mod tests {
             ("\"receiver\": 8", "\"receiver\": 4294967304".into(), "field `receiver`"),
             (
                 "\"seed\": 1",
-                r#""faults": { "flaps": [{ "link": 4294967297, "down_at_us": 10 }] }, "seed": 1"#
+                r#""faults": { "flaps": [{ "link": 4294967297, "down_at": "10us" }] }, "seed": 1"#
                     .into(),
                 "field `link`",
             ),
@@ -1174,6 +859,7 @@ mod tests {
         // would be 0 and 4.
         let a2a = example
             .replace("many_to_one", "all_to_all")
+            .replace("\n    \"cdf\": \"web_search\",\n    \"receiver\": 8,", "")
             .replace("[\n      0,\n      1,\n      2,\n      3\n    ]", "4");
         assert!(ExperimentCfg::from_json(&a2a).is_ok());
         for n in ["256", "260"] {
@@ -1187,13 +873,13 @@ mod tests {
     fn fat_tree_incast_config_runs() {
         let cfg = ExperimentCfg {
             topology: TopologyCfg::FatTree { k: 4, rate_gbps: 10 },
-            port: PortCfg {
+            port: PortPolicy {
                 queues: 2,
-                buffer_bytes: 300_000,
-                scheduler: SchedKind::Wfq,
-                aqm: AqmCfg::Tcn { threshold_us: 78 },
+                buffer: 300_000,
+                sched: SchedKind::Wfq,
+                scheme: Scheme::Tcn { threshold: Time::from_us(78) },
             },
-            transport: TransportCfg::SimDctcp,
+            transport: TransportChoice::SimDctcp,
             tagging: TaggingPolicy::Fixed,
             workload: WorkloadCfg::Incast {
                 fanout: 8,
@@ -1217,16 +903,16 @@ mod tests {
                 hosts_per_leaf: 3,
                 rate_gbps: 10,
             },
-            port: PortCfg {
+            port: PortPolicy {
                 queues: 8,
-                buffer_bytes: 300_000,
-                scheduler: SchedKind::SpDwrr { quantum: 1_500 },
-                aqm: AqmCfg::Codel {
-                    target_us: 16,
-                    interval_us: 340,
+                buffer: 300_000,
+                sched: SchedKind::SpDwrr { quantum: 1_500 },
+                scheme: Scheme::CoDel {
+                    target: Time::from_us(16),
+                    interval: Time::from_us(340),
                 },
             },
-            transport: TransportCfg::SimEcnStar,
+            transport: TransportChoice::SimEcnStar,
             tagging: TaggingPolicy::Pias { threshold: 100_000 },
             workload: WorkloadCfg::AllToAll {
                 flows: 200,
@@ -1245,21 +931,21 @@ mod tests {
         let json = r#"{
             "topology": { "kind": "leaf_spine", "leaves": 3, "spines": 3,
                           "hosts_per_leaf": 3, "rate_gbps": 10 },
-            "port": { "queues": 2, "buffer_bytes": 300000,
-                      "scheduler": { "kind": "dwrr", "quantum": 1500 },
-                      "aqm": { "kind": "tcn", "threshold_us": 78 } },
+            "port": { "queues": 2, "buffer": 300000,
+                      "sched": { "kind": "dwrr", "quantum": 1500 },
+                      "scheme": { "kind": "tcn", "threshold": "78us" } },
             "transport": "sim_dctcp",
             "tagging": { "kind": "fixed" },
             "workload": { "kind": "all_to_all", "flows": 100, "load": 0.4, "services": 1 },
-            "faults": { "loss": 0.005, "detection_delay_us": 100,
-                        "flaps": [ { "link": 18, "down_at_us": 500, "up_at_us": 3000 } ] },
+            "faults": { "loss": 0.005, "detection_delay": "100us",
+                        "flaps": [ { "link": 18, "down_at": "500us", "up_at": "3ms" } ] },
             "seed": 4
         }"#;
         let cfg = ExperimentCfg::from_json(json).expect("parse faults config");
         let f = cfg.faults.as_ref().expect("faults parsed");
-        assert_eq!(f.loss, 0.005);
-        assert_eq!(f.corrupt, 0.0, "absent knobs default to off");
-        assert_eq!(f.flaps, vec![FlapCfg { link: 18, down_at_us: 500, up_at_us: Some(3000) }]);
+        assert_eq!(f.profile, LinkFaultProfile::loss(0.005), "absent knobs default to off");
+        let flap = LinkFlap { link: 18, down_at: Time::from_us(500), up_at: Some(Time::from_ms(3)) };
+        assert_eq!(f.flaps, vec![flap]);
         // Serialize → reparse → identical section.
         let back = ExperimentCfg::from_json(&cfg.to_json().pretty()).expect("reparse");
         assert_eq!(back.faults.as_ref(), Some(f));

@@ -24,7 +24,9 @@
 //!
 //! Outside input enters in two places only: flags and `TCN_*` variables
 //! through [`options::RunOptions::parse`], called once by each binary
-//! and handed down, and files through the one reader in [`json`].
+//! and handed down, and files through the one reader in [`json`]. The
+//! two run-file formats (`tcnsim` configs, scenario files) spell the
+//! switch port, durations and fault knobs through one module, [`vocab`].
 //!
 //! Grid-shaped runners fan their independent cells out over [`runner`]'s
 //! scoped thread pool; results merge in canonical cell order, so output
@@ -53,5 +55,6 @@ pub mod pifo_demo;
 pub mod runner;
 pub mod scenario;
 pub mod trace;
+pub mod vocab;
 
 pub use common::{Scale, SchedKind, Scheme};

@@ -10,11 +10,10 @@
 //! completion check counts them).
 
 use super::{BaseConfig, LinkSel, Scenario, Step, StepMutation};
-use crate::common::switch_port;
 use crate::json::{Json, ToJson};
 use tcn_core::{AqmParams, TcnError};
 use tcn_net::{single_switch, single_switch_downlink, FlowSpec, NetMutation, NetworkSim, TaggingPolicy};
-use tcn_sim::{LinkFaultProfile, Rate, Rng, Time};
+use tcn_sim::{Rate, Rng, Time};
 use tcn_transport::{Cc, TcpConfig};
 
 /// What one scenario run produced: completion counts, mark/drop
@@ -128,24 +127,9 @@ fn mutation_events(
     step: &Step,
 ) -> Result<Vec<NetMutation>, TcnError> {
     let muts = match &step.change {
-        StepMutation::Conditions {
-            link,
-            loss,
-            corrupt,
-            jitter_prob,
-            jitter_max,
-        } => expand_links(base, *link)
+        StepMutation::Conditions { link, profile } => expand_links(base, *link)
             .into_iter()
-            .map(|l| NetMutation::LinkConditions {
-                link: l,
-                profile: LinkFaultProfile {
-                    loss: *loss,
-                    corrupt: *corrupt,
-                    jitter_prob: *jitter_prob,
-                    jitter_max: *jitter_max,
-                    ..LinkFaultProfile::NONE
-                },
-            })
+            .map(|l| NetMutation::LinkConditions { link: l, profile: *profile })
             .collect(),
         StepMutation::LinkDown { link } => {
             vec![NetMutation::LinkAdmin { link: *link, up: false }]
@@ -210,18 +194,7 @@ pub fn build_sim(sc: &Scenario, quick: bool) -> Result<NetworkSim, TcnError> {
         Time::from_us(HOP_DELAY_US),
         TcpConfig::preset(Cc::Dctcp).sim(),
         TaggingPolicy::Fixed,
-        || {
-            switch_port(
-                base.queues,
-                Some(base.buffer),
-                None,
-                base.sched,
-                base.scheme,
-                link,
-                mtu,
-                base.seed,
-            )
-        },
+        || base.port.setup(link, mtu, base.seed),
     )?;
 
     // Background traffic: exponential sizes, uniform starts over the
@@ -243,7 +216,7 @@ pub fn build_sim(sc: &Scenario, quick: bool) -> Result<NetworkSim, TcnError> {
             dst,
             size,
             start: Time::from_ps(rng.gen_range(horizon_ps)),
-            service: (i % base.queues) as u8,
+            service: (i % base.port.queues) as u8,
         });
     }
 
@@ -271,7 +244,7 @@ pub fn build_sim(sc: &Scenario, quick: bool) -> Result<NetworkSim, TcnError> {
                         dst,
                         size: bytes,
                         start: at,
-                        service: (k as usize % base.queues) as u8,
+                        service: (k as usize % base.port.queues) as u8,
                     });
                     sender = (sender + 1) % base.hosts as u32;
                 }
@@ -374,6 +347,8 @@ mod tests {
     use super::*;
     use crate::common::{SchedKind, Scheme};
     use crate::scenario::Scenario;
+    use crate::vocab::PortPolicy;
+    use tcn_sim::LinkFaultProfile;
 
     fn tiny(steps: Vec<Step>) -> Scenario {
         Scenario {
@@ -386,8 +361,11 @@ mod tests {
                 seed: 9,
                 horizon: Time::from_ms(1),
                 deadline: Time::from_secs(10),
-                scheme: Scheme::Tcn { threshold: Time::from_us(100) },
-                sched: SchedKind::Dwrr { quantum: 1500 },
+                port: PortPolicy {
+                    scheme: Scheme::Tcn { threshold: Time::from_us(100) },
+                    sched: SchedKind::Dwrr { quantum: 1500 },
+                    ..BaseConfig::default().port
+                },
                 ..BaseConfig::default()
             },
             loops: 1,
@@ -473,10 +451,7 @@ mod tests {
                 about: "lossy window".into(),
                 change: StepMutation::Conditions {
                     link: LinkSel::One(5),
-                    loss: 0.05,
-                    corrupt: 0.0,
-                    jitter_prob: 0.0,
-                    jitter_max: Time::ZERO,
+                    profile: LinkFaultProfile::loss(0.05),
                 },
             },
             Step {

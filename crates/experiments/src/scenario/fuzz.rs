@@ -17,7 +17,8 @@ use super::{BaseConfig, LinkSel, Scenario, Step, StepMutation};
 use crate::common::{SchedKind, Scheme};
 use crate::json::{Json, ToJson};
 use crate::runner::{default_threads, run_cell_outcomes_with, run_isolated, CellOutcome};
-use tcn_sim::{Rng, Time};
+use crate::vocab::PortPolicy;
+use tcn_sim::{LinkFaultProfile, Rng, Time};
 
 /// Fuzzer configuration (`figs fuzz` derives it from the process
 /// options: [`crate::options::RunOptions::fuzz`]).
@@ -143,10 +144,12 @@ pub fn gen_scenario(master_seed: u64, seed: usize, step_budget: usize) -> Scenar
     };
     let base = BaseConfig {
         hosts,
-        queues: 2,
-        buffer: 96_000 + rng.gen_range(3) * 64_000,
-        scheme,
-        sched,
+        port: PortPolicy {
+            queues: 2,
+            buffer: 96_000 + rng.gen_range(3) * 64_000,
+            sched,
+            scheme,
+        },
         flows: 12 + rng.gen_range(19) as usize, // 12..=30
         mean_flow_bytes: 30_000,
         // 32 bits so the seed survives a JSON f64 round-trip exactly.
@@ -168,10 +171,13 @@ pub fn gen_scenario(master_seed: u64, seed: usize, step_budget: usize) -> Scenar
                 about: "fuzz: fault window".into(),
                 change: StepMutation::Conditions {
                     link: any_link(&mut rng),
-                    loss: rng.uniform(0.0, 0.08),
-                    corrupt: rng.uniform(0.0, 0.02),
-                    jitter_prob: rng.uniform(0.0, 0.25),
-                    jitter_max: random_duration_us(&mut rng, 0, 60),
+                    profile: LinkFaultProfile {
+                        loss: rng.uniform(0.0, 0.08),
+                        corrupt: rng.uniform(0.0, 0.02),
+                        jitter_prob: rng.uniform(0.0, 0.25),
+                        jitter_max: random_duration_us(&mut rng, 0, 60),
+                        ..LinkFaultProfile::NONE
+                    },
                 },
             }),
             1 => {
@@ -200,7 +206,7 @@ pub fn gen_scenario(master_seed: u64, seed: usize, step_budget: usize) -> Scenar
                 // reject every parameter family, so DropTail bases get
                 // a rate change instead.
                 let link = LinkSel::All;
-                let change = match base.scheme {
+                let change = match base.port.scheme {
                     Scheme::Tcn { .. } => StepMutation::AqmTcn {
                         link,
                         threshold: random_duration_us(&mut rng, 48, 512),
@@ -253,10 +259,7 @@ pub fn gen_scenario(master_seed: u64, seed: usize, step_budget: usize) -> Scenar
                 about: "fuzz: fault cleared".into(),
                 change: StepMutation::Conditions {
                     link: any_link(&mut rng),
-                    loss: 0.0,
-                    corrupt: 0.0,
-                    jitter_prob: 0.0,
-                    jitter_max: Time::ZERO,
+                    profile: LinkFaultProfile::NONE,
                 },
             }),
         }
@@ -282,19 +285,13 @@ fn halve_time(t: Time) -> Time {
 /// Returns `true` if anything changed.
 fn weaken(m: &mut StepMutation) -> bool {
     match m {
-        StepMutation::Conditions {
-            loss,
-            corrupt,
-            jitter_prob,
-            jitter_max,
-            ..
-        } => {
-            let before = (*loss, *corrupt, *jitter_prob, *jitter_max);
-            *loss /= 2.0;
-            *corrupt /= 2.0;
-            *jitter_prob /= 2.0;
-            *jitter_max = halve_time(*jitter_max);
-            before != (*loss, *corrupt, *jitter_prob, *jitter_max)
+        StepMutation::Conditions { profile: p, .. } => {
+            let before = *p;
+            p.loss /= 2.0;
+            p.corrupt /= 2.0;
+            p.jitter_prob /= 2.0;
+            p.jitter_max = halve_time(p.jitter_max);
+            before != *p
         }
         StepMutation::Burst { senders, bytes, .. } => {
             let before = (*senders, *bytes);
@@ -466,10 +463,7 @@ mod tests {
                 about: format!("filler {i}"),
                 change: StepMutation::Conditions {
                     link: LinkSel::All,
-                    loss: 0.01,
-                    corrupt: 0.0,
-                    jitter_prob: 0.0,
-                    jitter_max: Time::ZERO,
+                    profile: LinkFaultProfile::loss(0.01),
                 },
             })
             .collect();
@@ -505,23 +499,25 @@ mod tests {
             about: "loss window".into(),
             change: StepMutation::Conditions {
                 link: LinkSel::All,
-                loss: 0.8,
-                corrupt: 0.0,
-                jitter_prob: 0.0,
-                jitter_max: Time::from_us(64),
+                profile: LinkFaultProfile {
+                    loss: 0.8,
+                    jitter_max: Time::from_us(64),
+                    ..LinkFaultProfile::NONE
+                },
             },
         }];
         // Fails as long as there is any conditions step with loss > 0.05.
         let mut fails = |s: &Scenario| {
             s.steps.iter().any(|st| {
-                matches!(st.change, StepMutation::Conditions { loss, .. } if loss > 0.05)
+                matches!(st.change, StepMutation::Conditions { profile, .. } if profile.loss > 0.05)
             })
         };
         let shrunk = shrink(&sc, &mut fails);
         assert_eq!(shrunk.steps.len(), 1);
-        let StepMutation::Conditions { loss, jitter_max, .. } = shrunk.steps[0].change else {
+        let StepMutation::Conditions { profile, .. } = shrunk.steps[0].change else {
             panic!("the conditions step must survive");
         };
+        let (loss, jitter_max) = (profile.loss, profile.jitter_max);
         assert!(loss > 0.05 && loss < 0.15, "weakened to just above the tripwire: {loss}");
         assert!(jitter_max < Time::from_us(64), "jitter halved along the way");
         assert!(shrunk.steps[0].at < Time::from_us(800), "offset halved");

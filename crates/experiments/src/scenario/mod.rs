@@ -13,7 +13,8 @@
 //! The pieces:
 //!
 //! * [`parse`] — `Json` → [`Scenario`] (and back, for quarantine
-//!   repros), including [`parse::parse_duration`];
+//!   repros); the port, durations and fault knobs are spelled by
+//!   [`crate::vocab`], as in `tcnsim` configs;
 //! * [`engine`] — builds the sim, expands loops, schedules the steps,
 //!   runs to completion under the audit invariants, and reports;
 //! * [`library`] — the 15+ named scenarios embedded from `scenarios/`,
@@ -31,11 +32,12 @@ pub use batch::{library_fingerprint, run_library, BatchOutcome};
 pub use engine::{run_scenario, ScenarioReport};
 pub use fuzz::{run_fuzz, shrink, FuzzOpts, FuzzReport};
 pub use library::{find, load, nearest, NamedScenario, LIBRARY};
-pub use parse::{parse_duration, parse_scenario, scenario_to_json5};
+pub use parse::{parse_scenario, scenario_to_json5};
 
 use crate::common::{SchedKind, Scheme};
+use crate::vocab::PortPolicy;
 use tcn_net::Cc;
-use tcn_sim::Time;
+use tcn_sim::{LinkFaultProfile, Time};
 
 /// A parsed scenario: metadata, the base workload, and the timed steps.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,14 +63,9 @@ pub struct Scenario {
 pub struct BaseConfig {
     /// Hosts around the switch (the switch is node `hosts`).
     pub hosts: usize,
-    /// Queues per switch egress port.
-    pub queues: usize,
-    /// Shared buffer per switch egress port, bytes.
-    pub buffer: u64,
-    /// The ECN/AQM scheme on switch egress ports.
-    pub scheme: Scheme,
-    /// The packet scheduler on switch egress ports.
-    pub sched: SchedKind,
+    /// The switch egress ports' policy (`queues`, `buffer`, `sched`,
+    /// `scheme`, flat in a file's `base`).
+    pub port: PortPolicy,
     /// Background flows generated over the horizon.
     pub flows: usize,
     /// Mean background flow size, bytes (exponential sizes).
@@ -113,14 +110,8 @@ pub enum StepMutation {
     Conditions {
         /// Target link(s).
         link: LinkSel,
-        /// Per-packet loss probability.
-        loss: f64,
-        /// Per-packet corruption probability.
-        corrupt: f64,
-        /// Probability a packet picks up extra delay.
-        jitter_prob: f64,
-        /// Maximum extra delay when jitter fires.
-        jitter_max: Time,
+        /// Loss, corruption and jitter; the ECN-mangling knobs stay off.
+        profile: LinkFaultProfile,
     },
     /// `step:link-down` — administratively down one link (the flap's
     /// falling edge; transports see it after the detection delay).
@@ -215,12 +206,14 @@ impl Default for BaseConfig {
     fn default() -> Self {
         BaseConfig {
             hosts: 8,
-            queues: 2,
-            buffer: 96_000,
-            scheme: Scheme::Tcn {
-                threshold: Time::from_us(256),
+            port: PortPolicy {
+                queues: 2,
+                buffer: 96_000,
+                sched: SchedKind::Dwrr { quantum: 1500 },
+                scheme: Scheme::Tcn {
+                    threshold: Time::from_us(256),
+                },
             },
-            sched: SchedKind::Dwrr { quantum: 1500 },
             flows: 60,
             mean_flow_bytes: 50_000,
             seed: 1,

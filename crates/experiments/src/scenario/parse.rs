@@ -1,102 +1,19 @@
-//! `Json` → [`Scenario`] (and back), plus duration-string parsing.
+//! `Json` → [`Scenario`] (and back).
 //!
-//! Scenario files spell every time value as a duration string —
-//! `"500ms"`, `"2s"`, `"90us"` — resolved here to picosecond [`Time`]
-//! values with checked arithmetic, so a typo'd `"999999999m"` is a
+//! Scenario files spell the port, every duration and the fault knobs
+//! the way `tcnsim` configs do, through [`crate::vocab`]: a duration is
+//! a string — `"500ms"`, `"2s"`, `"90us"` — resolved to a picosecond
+//! [`Time`] with checked arithmetic, so a typo'd `"999999999m"` is a
 //! parse error instead of a silent wrap. Field checking is strict: an
 //! unknown key anywhere in the document names itself in the error, so
 //! a misspelled knob cannot be silently ignored.
 
 use super::{BaseConfig, LinkSel, Scenario, Step, StepMutation};
-use crate::common::{SchedKind, Scheme};
 use crate::json::Json;
-use tcn_sim::Time;
-
-const PS_PER_NS: u64 = 1_000;
-const PS_PER_US: u64 = 1_000_000;
-const PS_PER_MS: u64 = 1_000_000_000;
-const PS_PER_SEC: u64 = 1_000_000_000_000;
-const PS_PER_MIN: u64 = 60 * PS_PER_SEC;
-
-/// Parse a duration string — an integer count plus a unit suffix from
-/// `ns` / `us` / `ms` / `s` / `m` — into a picosecond [`Time`].
-///
-/// `"0ms"` is [`Time::ZERO`]; counts that overflow the u64 picosecond
-/// clock are errors, as are floats (`"1.5ms"`) and missing units.
-///
-/// # Errors
-/// A human-readable message naming the offending input.
-pub fn parse_duration(s: &str) -> Result<Time, String> {
-    let t = s.trim();
-    let digits_end = t
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(t.len());
-    let (digits, unit) = t.split_at(digits_end);
-    if digits.is_empty() {
-        return Err(format!("duration `{s}` must start with a digit"));
-    }
-    if unit.starts_with('.') {
-        return Err(format!(
-            "duration `{s}` must be an integer count — floats are not supported \
-             (write `1500us` instead of `1.5ms`)"
-        ));
-    }
-    let count: u64 = digits
-        .parse()
-        .map_err(|_| format!("duration `{s}`: count does not fit in u64"))?;
-    let ps_per = match unit {
-        "ns" => PS_PER_NS,
-        "us" => PS_PER_US,
-        "ms" => PS_PER_MS,
-        "s" => PS_PER_SEC,
-        "m" => PS_PER_MIN,
-        "" => return Err(format!("duration `{s}` is missing a unit (ns/us/ms/s/m)")),
-        other => {
-            return Err(format!(
-                "duration `{s}`: unknown unit `{other}` (expected ns/us/ms/s/m)"
-            ))
-        }
-    };
-    count
-        .checked_mul(ps_per)
-        .map(Time::from_ps)
-        .ok_or_else(|| format!("duration `{s}` overflows the picosecond clock"))
-}
-
-/// Format a [`Time`] as the shortest duration string that round-trips
-/// through [`parse_duration`]. Sub-nanosecond residue (unreachable from
-/// parsed scenarios) floors to nanoseconds.
-fn fmt_duration(t: Time) -> String {
-    let ps = t.as_ps();
-    if ps == 0 {
-        return "0ms".to_string();
-    }
-    for (per, unit) in [
-        (PS_PER_MIN, "m"),
-        (PS_PER_SEC, "s"),
-        (PS_PER_MS, "ms"),
-        (PS_PER_US, "us"),
-    ] {
-        if ps % per == 0 {
-            return format!("{}{unit}", ps / per);
-        }
-    }
-    format!("{}ns", ps / PS_PER_NS)
-}
-
-/// Reject object keys outside `allowed`, naming the stray key.
-fn check_keys(v: &Json, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    if let Json::Obj(fields) = v {
-        for (k, _) in fields {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!("{ctx}: unknown key `{k}`"));
-            }
-        }
-        Ok(())
-    } else {
-        Err(format!("{ctx}: expected an object"))
-    }
-}
+use crate::vocab::{
+    check_keys, duration_field, duration_json, fault_profile, fault_profile_fields, field,
+    PortPolicy, FAULT_KEYS,
+};
 
 fn opt_str(v: &Json, key: &str, default: &str) -> Result<String, String> {
     match v.get(key) {
@@ -107,45 +24,7 @@ fn opt_str(v: &Json, key: &str, default: &str) -> Result<String, String> {
 }
 
 fn opt_int<T: TryFrom<u64>>(v: &Json, key: &str, default: T) -> Result<T, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(_) => v.int_field(key),
-    }
-}
-
-fn opt_f64(v: &Json, key: &str, default: f64) -> Result<f64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` must be a number")),
-    }
-}
-
-/// A probability field: a number in `[0, 1]`.
-fn opt_prob(v: &Json, key: &str) -> Result<f64, String> {
-    let p = opt_f64(v, key, 0.0)?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("field `{key}` must be a probability in [0, 1]"));
-    }
-    Ok(p)
-}
-
-fn opt_duration(v: &Json, key: &str, default: Time) -> Result<Time, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(Json::Str(s)) => parse_duration(s),
-        Some(_) => Err(format!(
-            "field `{key}` must be a duration string like \"500ms\""
-        )),
-    }
-}
-
-fn req_duration(v: &Json, key: &str) -> Result<Time, String> {
-    match v.get(key) {
-        None => Err(format!("missing field `{key}`")),
-        _ => opt_duration(v, key, Time::ZERO),
-    }
+    field(v, key, Some(default), |_| v.int_field(key))
 }
 
 /// `link: 3` or `link: "all"` (default: every switch downlink).
@@ -163,96 +42,22 @@ fn link_index(v: &Json) -> Result<u32, String> {
     v.int_field("link")
 }
 
-/// Parse `scheme: "tcn"` or `scheme: { kind: "tcn", threshold: "256us" }`.
-fn parse_scheme(v: Option<&Json>) -> Result<Scheme, String> {
-    let default = BaseConfig::default().scheme;
-    let Some(v) = v else { return Ok(default) };
-    let (kind, obj) = match v {
-        Json::Str(s) => (s.as_str(), None),
-        Json::Obj(_) => (v.kind()?, Some(v)),
-        _ => return Err("field `scheme` must be a string or an object".to_string()),
-    };
-    let empty = Json::Obj(Vec::new());
-    let obj = obj.unwrap_or(&empty);
-    match kind {
-        "tcn" => {
-            check_keys(obj, &["kind", "threshold"], "scheme")?;
-            Ok(Scheme::Tcn {
-                threshold: opt_duration(obj, "threshold", Time::from_us(256))?,
-            })
-        }
-        "codel" => {
-            check_keys(obj, &["kind", "target", "interval"], "scheme")?;
-            Ok(Scheme::CoDel {
-                target: opt_duration(obj, "target", Time::from_us(50))?,
-                interval: opt_duration(obj, "interval", Time::from_ms(1))?,
-            })
-        }
-        "red" => {
-            check_keys(obj, &["kind", "threshold"], "scheme")?;
-            Ok(Scheme::RedQueue {
-                threshold: opt_int(obj, "threshold", 32_000)?,
-            })
-        }
-        "droptail" => {
-            check_keys(obj, &["kind"], "scheme")?;
-            Ok(Scheme::DropTail)
-        }
-        other => Err(format!(
-            "scheme kind `{other}` is not scriptable (expected tcn/codel/red/droptail)"
-        )),
-    }
-}
-
-fn parse_sched(v: Option<&Json>) -> Result<SchedKind, String> {
-    let Some(v) = v else {
-        return Ok(BaseConfig::default().sched);
-    };
-    let name = v
-        .as_str()
-        .ok_or_else(|| "field `sched` must be a string".to_string())?;
-    match name {
-        "fifo" => Ok(SchedKind::Fifo),
-        "sp" => Ok(SchedKind::Sp),
-        "wrr" => Ok(SchedKind::Wrr),
-        "dwrr" => Ok(SchedKind::Dwrr { quantum: 1500 }),
-        "wfq" => Ok(SchedKind::Wfq),
-        "sp-dwrr" => Ok(SchedKind::SpDwrr { quantum: 1500 }),
-        "sp-wfq" => Ok(SchedKind::SpWfq),
-        other => Err(format!(
-            "sched `{other}` is not scriptable (expected fifo/sp/wrr/dwrr/wfq/sp-dwrr/sp-wfq)"
-        )),
-    }
-}
-
 fn parse_base(v: Option<&Json>) -> Result<BaseConfig, String> {
     let d = BaseConfig::default();
     let Some(v) = v else { return Ok(d) };
-    check_keys(
-        v,
-        &[
-            "hosts", "queues", "buffer", "scheme", "sched", "flows", "mean_flow_bytes", "seed",
-            "horizon", "deadline",
-        ],
-        "base",
-    )?;
+    let own = ["hosts", "flows", "mean_flow_bytes", "seed", "horizon", "deadline"];
+    check_keys(v, &[&own[..], &PortPolicy::KEYS].concat(), "base")?;
     let base = BaseConfig {
         hosts: opt_int(v, "hosts", d.hosts)?,
-        queues: opt_int(v, "queues", d.queues)?,
-        buffer: opt_int(v, "buffer", d.buffer)?,
-        scheme: parse_scheme(v.get("scheme"))?,
-        sched: parse_sched(v.get("sched"))?,
+        port: PortPolicy::from_json(v, "base", Some(d.port))?,
         flows: opt_int(v, "flows", d.flows)?,
         mean_flow_bytes: opt_int(v, "mean_flow_bytes", d.mean_flow_bytes)?,
         seed: opt_int(v, "seed", d.seed)?,
-        horizon: opt_duration(v, "horizon", d.horizon)?,
-        deadline: opt_duration(v, "deadline", d.deadline)?,
+        horizon: duration_field(v, "horizon", Some(d.horizon))?,
+        deadline: duration_field(v, "deadline", Some(d.deadline))?,
     };
     if base.hosts < 2 {
         return Err("base: a single-switch star needs at least 2 hosts".to_string());
-    }
-    if base.queues == 0 {
-        return Err("base: at least one queue per port".to_string());
     }
     if base.mean_flow_bytes == 0 {
         return Err("base: mean_flow_bytes must be positive".to_string());
@@ -263,7 +68,7 @@ fn parse_base(v: Option<&Json>) -> Result<BaseConfig, String> {
 fn parse_step(v: &Json, idx: usize) -> Result<Step, String> {
     let ctx = format!("steps[{idx}]");
     check_keys(v, &["at", "about", "do"], &ctx)?;
-    let at = req_duration(v, "at").map_err(|e| format!("{ctx}: {e}"))?;
+    let at = duration_field(v, "at", None).map_err(|e| format!("{ctx}: {e}"))?;
     let about = opt_str(v, "about", "").map_err(|e| format!("{ctx}: {e}"))?;
     let action = v
         .get("do")
@@ -276,17 +81,10 @@ fn parse_mutation(v: &Json) -> Result<StepMutation, String> {
     let kind = v.kind()?;
     match kind {
         "conditions" => {
-            check_keys(
-                v,
-                &["kind", "link", "loss", "corrupt", "jitter_prob", "jitter_max"],
-                "do",
-            )?;
+            check_keys(v, &[&["kind", "link"], &FAULT_KEYS[..]].concat(), "do")?;
             Ok(StepMutation::Conditions {
                 link: link_sel(v)?,
-                loss: opt_prob(v, "loss")?,
-                corrupt: opt_prob(v, "corrupt")?,
-                jitter_prob: opt_prob(v, "jitter_prob")?,
-                jitter_max: opt_duration(v, "jitter_max", Time::ZERO)?,
+                profile: fault_profile(v)?,
             })
         }
         "link-down" => {
@@ -313,7 +111,7 @@ fn parse_mutation(v: &Json) -> Result<StepMutation, String> {
             check_keys(v, &["kind", "link", "threshold"], "do")?;
             Ok(StepMutation::AqmTcn {
                 link: link_sel(v)?,
-                threshold: req_duration(v, "threshold")?,
+                threshold: duration_field(v, "threshold", None)?,
             })
         }
         "aqm-red" => {
@@ -329,7 +127,7 @@ fn parse_mutation(v: &Json) -> Result<StepMutation, String> {
             check_keys(v, &["kind", "link", "target"], "do")?;
             Ok(StepMutation::AqmCodel {
                 link: link_sel(v)?,
-                target: req_duration(v, "target")?,
+                target: duration_field(v, "target", None)?,
             })
         }
         "cc-switch" => {
@@ -393,7 +191,7 @@ pub fn parse_scenario(v: &Json) -> Result<Scenario, String> {
     if loops == 0 {
         return Err("loop_scenario must be at least 1".to_string());
     }
-    let period = opt_duration(v, "period", base.horizon)?;
+    let period = duration_field(v, "period", Some(base.horizon))?;
     if loops > 1 && period.is_zero() {
         return Err("a looping scenario needs a positive period".to_string());
     }
@@ -425,43 +223,6 @@ pub fn parse_scenario(v: &Json) -> Result<Scenario, String> {
     })
 }
 
-fn scheme_json(s: &Scheme) -> Json {
-    match *s {
-        Scheme::Tcn { threshold } => Json::obj(vec![
-            ("kind", Json::Str("tcn".into())),
-            ("threshold", Json::Str(fmt_duration(threshold))),
-        ]),
-        Scheme::CoDel { target, interval } => Json::obj(vec![
-            ("kind", Json::Str("codel".into())),
-            ("target", Json::Str(fmt_duration(target))),
-            ("interval", Json::Str(fmt_duration(interval))),
-        ]),
-        Scheme::RedQueue { threshold } => Json::obj(vec![
-            ("kind", Json::Str("red".into())),
-            ("threshold", Json::Num(threshold as f64)),
-        ]),
-        Scheme::DropTail => Json::Str("droptail".into()),
-        // The fuzzer and the parser only produce the four kinds above.
-        ref other => panic!("scheme {} is not scenario-scriptable", other.name()),
-    }
-}
-
-fn sched_json(s: &SchedKind) -> Json {
-    Json::Str(
-        match s {
-            SchedKind::Fifo => "fifo",
-            SchedKind::Sp => "sp",
-            SchedKind::Wrr => "wrr",
-            SchedKind::Dwrr { .. } => "dwrr",
-            SchedKind::Wfq => "wfq",
-            SchedKind::SpDwrr { .. } => "sp-dwrr",
-            SchedKind::SpWfq => "sp-wfq",
-            other => panic!("sched {} is not scenario-scriptable", other.name()),
-        }
-        .into(),
-    )
-}
-
 fn link_sel_json(l: LinkSel) -> Json {
     match l {
         LinkSel::All => Json::Str("all".into()),
@@ -472,18 +233,9 @@ fn link_sel_json(l: LinkSel) -> Json {
 fn mutation_json(m: &StepMutation) -> Json {
     let mut fields: Vec<(&str, Json)> = vec![("kind", Json::Str(m.tag().into()))];
     match m {
-        StepMutation::Conditions {
-            link,
-            loss,
-            corrupt,
-            jitter_prob,
-            jitter_max,
-        } => {
+        StepMutation::Conditions { link, profile } => {
             fields.push(("link", link_sel_json(*link)));
-            fields.push(("loss", Json::Num(*loss)));
-            fields.push(("corrupt", Json::Num(*corrupt)));
-            fields.push(("jitter_prob", Json::Num(*jitter_prob)));
-            fields.push(("jitter_max", Json::Str(fmt_duration(*jitter_max))));
+            fields.extend(fault_profile_fields(profile));
         }
         StepMutation::LinkDown { link } | StepMutation::LinkUp { link } => {
             fields.push(("link", Json::Num(f64::from(*link))));
@@ -495,7 +247,7 @@ fn mutation_json(m: &StepMutation) -> Json {
         StepMutation::Drain => {}
         StepMutation::AqmTcn { link, threshold } => {
             fields.push(("link", link_sel_json(*link)));
-            fields.push(("threshold", Json::Str(fmt_duration(*threshold))));
+            fields.push(("threshold", duration_json(*threshold)));
         }
         StepMutation::AqmRed { link, min, max } => {
             fields.push(("link", link_sel_json(*link)));
@@ -504,7 +256,7 @@ fn mutation_json(m: &StepMutation) -> Json {
         }
         StepMutation::AqmCodel { link, target } => {
             fields.push(("link", link_sel_json(*link)));
-            fields.push(("target", Json::Str(fmt_duration(*target))));
+            fields.push(("target", duration_json(*target)));
         }
         StepMutation::CcSwitch { service, cc } => {
             fields.push(("service", Json::Num(f64::from(*service))));
@@ -524,24 +276,21 @@ fn mutation_json(m: &StepMutation) -> Json {
 /// are written in, and the bytes [`parse_scenario`] reads back.
 pub fn scenario_to_json5(sc: &Scenario) -> String {
     let b = &sc.base;
-    let base = Json::obj(vec![
-        ("hosts", Json::Num(b.hosts as f64)),
-        ("queues", Json::Num(b.queues as f64)),
-        ("buffer", Json::Num(b.buffer as f64)),
-        ("scheme", scheme_json(&b.scheme)),
-        ("sched", sched_json(&b.sched)),
+    let mut base = vec![("hosts", Json::Num(b.hosts as f64))];
+    base.extend(b.port.fields());
+    base.extend([
         ("flows", Json::Num(b.flows as f64)),
         ("mean_flow_bytes", Json::Num(b.mean_flow_bytes as f64)),
         ("seed", Json::Num(b.seed as f64)),
-        ("horizon", Json::Str(fmt_duration(b.horizon))),
-        ("deadline", Json::Str(fmt_duration(b.deadline))),
+        ("horizon", duration_json(b.horizon)),
+        ("deadline", duration_json(b.deadline)),
     ]);
     let steps = sc
         .steps
         .iter()
         .map(|s| {
             Json::obj(vec![
-                ("at", Json::Str(fmt_duration(s.at))),
+                ("at", duration_json(s.at)),
                 ("about", Json::Str(s.about.clone())),
                 ("do", mutation_json(&s.change)),
             ])
@@ -554,9 +303,9 @@ pub fn scenario_to_json5(sc: &Scenario) -> String {
             "tags",
             Json::Arr(sc.tags.iter().map(|t| Json::Str(t.clone())).collect()),
         ),
-        ("base", base),
+        ("base", Json::obj(base)),
         ("loop_scenario", Json::Num(f64::from(sc.loops))),
-        ("period", Json::Str(fmt_duration(sc.period))),
+        ("period", duration_json(sc.period)),
         ("steps", Json::Arr(steps)),
     ])
     .pretty()
@@ -565,6 +314,9 @@ pub fn scenario_to_json5(sc: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Scheme;
+    use crate::vocab::parse_duration;
+    use tcn_sim::Time;
 
     #[test]
     fn duration_units_resolve_to_picoseconds() {
@@ -623,7 +375,7 @@ mod tests {
                 flows: 10,
                 seed: 42,
                 scheme: { kind: "tcn", threshold: "100us" },
-                sched: "dwrr",
+                sched: { kind: "dwrr", quantum: 3000 },
                 horizon: "1ms",
                 deadline: "5s",
             },
@@ -640,7 +392,7 @@ mod tests {
         let sc = parse_scenario(&Json::parse_json5(demo_source()).unwrap()).unwrap();
         assert_eq!(sc.id, "demo-burst");
         assert_eq!(sc.base.hosts, 4);
-        assert_eq!(sc.base.scheme, Scheme::Tcn { threshold: Time::from_us(100) });
+        assert_eq!(sc.base.port.scheme, Scheme::Tcn { threshold: Time::from_us(100) });
         assert_eq!(sc.loops, 1);
         assert_eq!(sc.period, Time::from_ms(1), "period defaults to the horizon");
         assert_eq!(sc.steps.len(), 3);
@@ -662,6 +414,19 @@ mod tests {
         let text = scenario_to_json5(&sc);
         let back = parse_scenario(&Json::parse_json5(&text).unwrap()).unwrap();
         assert_eq!(sc, back);
+    }
+
+    /// The port reader runs the scheduler's own checks, so a port the
+    /// simulator would `assert!` on is a parse error naming the field.
+    #[test]
+    fn one_queue_under_sp_dwrr_is_a_parse_error_naming_queues() {
+        let doc = r#"{ id: "x", base: { queues: 1, sched: { kind: "sp_dwrr", quantum: 1500 } } }"#;
+        let err = parse_scenario(&Json::parse_json5(doc).unwrap()).expect_err("one queue under SP/DWRR");
+        assert!(err.starts_with("base.queues: the SP/DWRR scheduler needs at least 2"), "{err}");
+        // MQ-ECN, the paper's main comparator, is a scenario scheme too.
+        let mq = r#"{ id: "x", base: { scheme: { kind: "mq_ecn", rtt_lambda: "85us" } } }"#;
+        let sc = parse_scenario(&Json::parse_json5(mq).unwrap()).expect("MQ-ECN parses");
+        assert_eq!(sc.base.port.scheme, Scheme::MqEcn { rtt_lambda: Time::from_us(85) });
     }
 
     #[test]

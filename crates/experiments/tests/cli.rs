@@ -131,14 +131,18 @@ fn every_trace_writer_passes_check_trace() {
 fn a_bad_file_is_exit_1_with_a_message_never_a_crash() {
     let dir = Scratch::new("badfile");
     let example = example_json();
-    let prob = r#""kind": "tcn_prob", "t_min_us": 400, "t_max_us": 300, "p_max": 0.5"#;
+    let prob = r#""kind": "tcn_prob", "t_min": "400us", "t_max": "300us", "p_max": 0.5"#;
     let edits = [
         ("\"receiver\": 8", "\"receiver\": 99", "invalid configuration: workload.receiver"),
         ("\"queues\": 4", "\"queues\": 0", "invalid configuration: port.queues"),
         ("\"load\": 0.6", "\"load\": 0", "invalid configuration: workload.load"),
-        ("\"quantum\": 1500", "\"quantum\": 0", "invalid configuration: port.scheduler.quantum"),
-        ("\"kind\": \"tcn\",\n      \"threshold_us\": 256", prob, "invalid configuration: port.aqm.t_min_us"),
+        ("\"quantum\": 1500", "\"quantum\": 0", "invalid configuration: port.sched.quantum"),
+        ("\"kind\": \"tcn\",\n      \"threshold\": \"256us\"", prob, "invalid configuration: port.scheme.t_min"),
         ("\"rate_gbps\": 1", "\"rate_gbps\": 0", "invalid configuration: topology.rate_gbps"),
+        // Each of these used to run, as seed 1 or as a healthy fabric.
+        ("\"seed\": 1", "\"sede\": 7", "invalid configuration: config: unknown key `sede`"),
+        ("\"seed\": 1", r#""faults": { "los": 0.05 }, "seed": 1"#, "invalid configuration: faults: unknown key `los`"),
+        ("\"seed\": 1", r#""faults": { "loss": 2.0 }, "seed": 1"#, "invalid configuration: field `loss`"),
     ];
     for (from, to, want) in edits {
         assert!(example.contains(from), "the example no longer contains `{from}`");

@@ -33,7 +33,7 @@ use tcn_transport::{Cc, TcpConfig};
 
 use crate::network::{LinkSpec, NetworkSim, NodeId, TaggingPolicy};
 use crate::port::PortSetup;
-use crate::topology::{dumbbell, fat_tree, leaf_spine, single_switch, LeafSpineConfig};
+use crate::topology::{fat_tree, leaf_spine, single_switch, LeafSpineConfig};
 use crate::watchdog::Watchdog;
 
 /// Which canned topology the builder will instantiate.
@@ -41,13 +41,6 @@ enum Topo {
     SingleSwitch {
         hosts: usize,
         rate: Rate,
-        delay: Time,
-    },
-    Dumbbell {
-        left: usize,
-        right: usize,
-        edge_rate: Rate,
-        core_rate: Rate,
         delay: Time,
     },
     LeafSpine {
@@ -109,18 +102,6 @@ impl NetworkBuilder {
     /// A star: `hosts` hosts around one switch (the testbed shape, §6.1).
     pub fn single_switch(hosts: usize, rate: Rate, delay: Time) -> Self {
         Self::with_topo(Topo::SingleSwitch { hosts, rate, delay })
-    }
-
-    /// A dumbbell: `left`/`right` hosts on two switches joined by one
-    /// bottleneck (the Fig. 1 shape).
-    pub fn dumbbell(left: usize, right: usize, edge_rate: Rate, core_rate: Rate, delay: Time) -> Self {
-        Self::with_topo(Topo::Dumbbell {
-            left,
-            right,
-            edge_rate,
-            core_rate,
-            delay,
-        })
     }
 
     /// A leaf-spine fabric (the §6.2 shape).
@@ -261,22 +242,6 @@ impl NetworkBuilder {
             Topo::SingleSwitch { hosts, rate, delay } => {
                 single_switch(hosts, rate, delay, self.tcp, self.tagging, mk_port)?
             }
-            Topo::Dumbbell {
-                left,
-                right,
-                edge_rate,
-                core_rate,
-                delay,
-            } => dumbbell(
-                left,
-                right,
-                edge_rate,
-                core_rate,
-                delay,
-                self.tcp,
-                self.tagging,
-                mk_port,
-            )?,
             Topo::LeafSpine { cfg } => leaf_spine(cfg, self.tcp, self.tagging, mk_port)?,
             Topo::FatTree {
                 k,

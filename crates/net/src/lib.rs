@@ -22,9 +22,9 @@
 //! * [`watchdog`] — an event-budget liveness guard over the event loop,
 //!   turning stalled or runaway runs into typed
 //!   [`tcn_core::TcnError::Stall`] errors instead of hangs;
-//! * [`topology`] — canned builders for the paper's three topologies:
-//!   single-switch star (testbed), dumbbell (Fig. 1), and the 144-host
-//!   leaf-spine fabric (§6.2).
+//! * [`topology`] — canned builders: the single-switch star (the
+//!   testbed, and Fig. 1), the paper's 144-host leaf-spine fabric (§6.2),
+//!   and a k-ary fat tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +44,5 @@ pub use network::{
 };
 pub use port::{Port, PortSetup, PortStats};
 pub use routing::{compute_routes, compute_routes_partial, ecmp_pick, RouteError};
-pub use topology::{
-    dumbbell, fat_tree, leaf_spine, single_switch, single_switch_downlink, LeafSpineConfig,
-};
+pub use topology::{fat_tree, leaf_spine, single_switch, single_switch_downlink, LeafSpineConfig};
 pub use watchdog::Watchdog;

@@ -274,10 +274,10 @@ struct FlowState {
     next_timer: Option<Time>,
 }
 
-/// A runtime reconfiguration applied to a live simulation, either
-/// immediately (the `set_*`/`drain_switch` methods on [`NetworkSim`]) or
-/// at a scheduled instant ([`NetworkSim::schedule_mutation`] — the
-/// scenario engine's step compiler). Every application is recorded in
+/// A runtime reconfiguration applied to a live simulation at a
+/// scheduled instant ([`NetworkSim::schedule_mutation`], the one way in;
+/// the scenario engine's step compiler uses it). Every application is
+/// recorded in
 /// the reconfiguration log ([`NetworkSim::reconfig_log`]) so chaos runs
 /// stay auditable after the fact.
 #[derive(Debug, Clone, PartialEq)]
@@ -742,67 +742,6 @@ impl NetworkSim {
         self.pending_mutations.push(m);
         self.events.schedule_at(at, Event::Mutation { idx });
         Ok(())
-    }
-
-    /// Immediately rewrite the AQM parameters of `link`'s egress port.
-    ///
-    /// # Errors
-    /// [`TcnError::Config`] on an unknown link, a parameter set that
-    /// does not match the installed scheme, or out-of-range values.
-    pub fn set_aqm_params(&mut self, link: usize, params: &AqmParams) -> Result<(), TcnError> {
-        let m = NetMutation::AqmParams {
-            link: link as u32,
-            params: *params,
-        };
-        self.validate_mutation(&m)?;
-        let now = self.now();
-        self.apply_mutation(&m, now).map(|_| ())
-    }
-
-    /// Immediately replace the stochastic fault profile of `link`.
-    ///
-    /// # Errors
-    /// [`TcnError::Config`] on an unknown link.
-    pub fn set_link_conditions(
-        &mut self,
-        link: usize,
-        profile: LinkFaultProfile,
-    ) -> Result<(), TcnError> {
-        let m = NetMutation::LinkConditions {
-            link: link as u32,
-            profile,
-        };
-        self.validate_mutation(&m)?;
-        let now = self.now();
-        self.apply_mutation(&m, now).map(|_| ())
-    }
-
-    /// Immediately drain every egress port of `node`, returning the
-    /// number of packets discarded.
-    ///
-    /// # Errors
-    /// [`TcnError::Config`] on an unknown node;
-    /// [`TcnError::SchedulerContract`] if a scheduler misbehaves
-    /// mid-drain.
-    pub fn drain_switch(&mut self, node: NodeId) -> Result<u64, TcnError> {
-        let m = NetMutation::DrainSwitch { node };
-        self.validate_mutation(&m)?;
-        let now = self.now();
-        self.apply_mutation(&m, now)
-    }
-
-    /// Immediately change `link`'s line rate.
-    ///
-    /// # Errors
-    /// [`TcnError::Config`] on an unknown link or a zero rate.
-    pub fn set_link_rate(&mut self, link: usize, rate: Rate) -> Result<(), TcnError> {
-        let m = NetMutation::LinkRate {
-            link: link as u32,
-            rate,
-        };
-        self.validate_mutation(&m)?;
-        let now = self.now();
-        self.apply_mutation(&m, now).map(|_| ())
     }
 
     /// The append-only reconfiguration audit trail: one `(when, what)`

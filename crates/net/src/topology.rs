@@ -69,61 +69,6 @@ pub fn single_switch_downlink(host: u32) -> usize {
     host as usize * 2 + 1
 }
 
-/// A dumbbell: `n_left` hosts on switch A, `n_right` hosts on switch B,
-/// one bottleneck link A→B (and back): the Fig. 1 shape, also built by
-/// `NetworkBuilder::dumbbell`.
-///
-/// # Errors
-/// [`TcnError::Topology`] if the resulting fabric is not fully routable.
-#[allow(clippy::too_many_arguments)] // experiment knobs, one call site each
-pub fn dumbbell(
-    n_left: usize,
-    n_right: usize,
-    edge_rate: Rate,
-    core_rate: Rate,
-    delay: Time,
-    tcp: TcpConfig,
-    tagging: TaggingPolicy,
-    mk_port: impl Fn() -> PortSetup,
-) -> Result<NetworkSim, TcnError> {
-    let n = n_left + n_right;
-    let sw_a = n as NodeId;
-    let sw_b = (n + 1) as NodeId;
-    let mut links = Vec::new();
-    for h in 0..n as NodeId {
-        let sw = if (h as usize) < n_left { sw_a } else { sw_b };
-        links.push(LinkSpec {
-            from: h,
-            to: sw,
-            rate: edge_rate,
-            delay,
-            setup: PortSetup::host_nic(),
-        });
-        links.push(LinkSpec {
-            from: sw,
-            to: h,
-            rate: edge_rate,
-            delay,
-            setup: mk_port(),
-        });
-    }
-    links.push(LinkSpec {
-        from: sw_a,
-        to: sw_b,
-        rate: core_rate,
-        delay,
-        setup: mk_port(),
-    });
-    links.push(LinkSpec {
-        from: sw_b,
-        to: sw_a,
-        rate: core_rate,
-        delay,
-        setup: mk_port(),
-    });
-    NetworkSim::new(n + 2, (0..n as NodeId).collect(), links, tcp, tagging)
-}
-
 /// Parameters of the paper's large-scale fabric (§6.2): 12 leaves × 12
 /// spines × 12 hosts per leaf = 144 hosts, all links 10 Gbps,
 /// non-blocking, ECMP.
@@ -525,39 +470,6 @@ mod tests {
             }
         }
         assert!(used >= 2, "ECMP used only {used} spine uplinks");
-    }
-
-    #[test]
-    fn dumbbell_bottleneck_carries_all() {
-        let mut sim = dumbbell(
-            2,
-            2,
-            Rate::from_gbps(1),
-            Rate::from_gbps(1),
-            Time::from_us(10),
-            TcpConfig::preset(Cc::Dctcp).sim(),
-            TaggingPolicy::Fixed,
-            tcn_port,
-        )
-        .unwrap();
-        sim.add_flow(FlowSpec {
-            src: 0,
-            dst: 2,
-            size: 200_000,
-            start: Time::ZERO,
-            service: 0,
-        });
-        sim.add_flow(FlowSpec {
-            src: 1,
-            dst: 3,
-            size: 200_000,
-            start: Time::ZERO,
-            service: 0,
-        });
-        assert!(sim.run_to_completion(Time::from_secs(2)).unwrap());
-        // The A→B core link is the second-to-last link.
-        let core = sim.num_links() - 2;
-        assert!(sim.port(core).stats().tx_bytes >= 400_000);
     }
 
     #[test]

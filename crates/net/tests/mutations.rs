@@ -1,7 +1,8 @@
 //! Integration tests for the runtime-reconfiguration surface
-//! ([`NetworkSim::schedule_mutation`] and the immediate setters): target
-//! validation, mid-run AQM retuning, administrative switch drains, fault
-//! profile swaps, and the fixed ordering of same-instant mutations. All
+//! ([`NetworkSim::schedule_mutation`], the one way to mutate a live
+//! run): target validation, mid-run AQM retuning, administrative switch
+//! drains, fault profile swaps, and the fixed ordering of same-instant
+//! mutations. All
 //! runs execute under the `NetAudit` conservation checker in debug
 //! builds, so a drain that loses track of a byte fails loudly here.
 
@@ -72,13 +73,15 @@ fn unknown_targets_are_config_errors() {
     assert_eq!(err.kind(), "config");
     assert!(err.to_string().contains("unknown link 999"), "{err}");
 
-    let err = sim.drain_switch(77).expect_err("node 77 does not exist");
+    let err = sim
+        .schedule_mutation(Time::from_ms(1), NetMutation::DrainSwitch { node: 77 })
+        .expect_err("node 77 does not exist");
     assert_eq!(err.kind(), "config");
     assert!(err.to_string().contains("unknown node 77"), "{err}");
 
-    // A bad immediate setter is equally typed.
+    let params = AqmParams::Tcn { threshold: Time::from_us(1) };
     let err = sim
-        .set_aqm_params(500, &AqmParams::Tcn { threshold: Time::from_us(1) })
+        .schedule_mutation(Time::from_ms(1), NetMutation::AqmParams { link: 500, params })
         .expect_err("link 500 does not exist");
     assert_eq!(err.kind(), "config");
 }
@@ -140,17 +143,19 @@ fn aqm_family_mismatch_surfaces_at_apply_time() {
 fn drain_discards_backlog_and_flows_still_complete() {
     let mut sim = star_sim(Time::from_us(100));
     // Let congestion build, then administratively drain the switch.
-    sim.run_until(Time::from_us(300)).unwrap();
-    let dropped = sim.drain_switch(4).expect("switch node is 4");
-    assert!(dropped > 0, "a congested switch must have backlog to drain");
-    assert_eq!(total_drain_drops(&sim), dropped);
+    let at = Time::from_us(300);
+    sim.schedule_mutation(at, NetMutation::DrainSwitch { node: 4 }).expect("switch node is 4");
+    sim.run_until(at).unwrap();
     let log = sim.reconfig_log();
     assert_eq!(log.len(), 1);
-    assert!(
-        log[0].1.contains(&format!("dropped={dropped}")),
-        "drain log must carry the count: {}",
-        log[0].1
-    );
+    assert_eq!(log[0].0, at);
+    let dropped: u64 = log[0]
+        .1
+        .split_once("dropped=")
+        .and_then(|(_, n)| n.parse().ok())
+        .unwrap_or_else(|| panic!("drain log must carry the count: {}", log[0].1));
+    assert!(dropped > 0, "a congested switch must have backlog to drain");
+    assert_eq!(total_drain_drops(&sim), dropped);
     // Retransmission recovers everything the drain threw away.
     assert!(sim.run_to_completion(Time::from_secs(10)).unwrap());
     assert_eq!(sim.completed_flows(), sim.num_flows());

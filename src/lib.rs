@@ -64,7 +64,7 @@ pub mod prelude {
         PacketQueue, ProbabilisticTcn, Tcn,
     };
     pub use tcn_net::{
-        dumbbell, leaf_spine, single_switch, FlowSpec, LeafSpineConfig, NetworkBuilder, NetworkSim,
+        leaf_spine, single_switch, FlowSpec, LeafSpineConfig, NetworkBuilder, NetworkSim,
         PortSetup, ProbeConfig, TaggingPolicy, TransportChoice,
     };
     pub use tcn_sched::{Dwrr, Fifo, Pifo, Scheduler, SpHybrid, StfqRank, StrictPriority, Wfq, Wrr};
