@@ -1,13 +1,14 @@
-//! `tcnsim` — run a declarative JSON experiment.
+//! `tcnsim` — run a scenario document and print its FCT report.
 //!
 //! Usage:
-//!   tcnsim <config.json>      run the experiment, print the FCT report
-//!   tcnsim --example          print a ready-to-edit example config
-//!   tcnsim <config.json> --json   also print the report as JSON
+//!   tcnsim <scenario.json5>          run it, print the FCT report
+//!   tcnsim --example                 print a ready-to-edit example document
+//!   tcnsim <scenario.json5> --json   also print the report as JSON
 
-use tcn_experiments::config::{example_json, ExperimentCfg};
-use tcn_experiments::json::ToJson;
+use tcn_experiments::config::{example_json, RunReport};
+use tcn_experiments::json::{Json, ToJson};
 use tcn_experiments::options::RunOptions;
+use tcn_experiments::scenario::{engine::build_sim, parse_scenario};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,22 +22,19 @@ fn main() {
             std::process::exit(2);
         });
     let [path] = words.as_slice() else {
-        eprintln!("usage: tcnsim <config.json> [--json] | tcnsim --example");
+        eprintln!("usage: tcnsim <scenario.json5> [--json] | tcnsim --example");
         std::process::exit(2);
     };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("read {path}: {e}");
-        std::process::exit(1);
-    });
-    let cfg = ExperimentCfg::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    });
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
+    let sc = Json::parse_json5(&text)
+        .and_then(|v| parse_scenario(&v).map_err(|e| format!("invalid configuration: {e}")))
+        .unwrap_or_else(|e| fail(format!("{path}: {e}")));
     let t0 = std::time::Instant::now(); // lint:allow(no-wallclock): CLI convenience — reports elapsed wall time, never feeds the sim
-    let report = cfg.run().unwrap_or_else(|e| {
-        eprintln!("run {path}: {e}");
-        std::process::exit(1);
-    });
+    let mut sim = build_sim(&sc, false).unwrap_or_else(|e| fail(format!("{path}: {e}")));
+    if let Err(e) = sim.run_to_completion(sc.base.deadline) {
+        fail(format!("run {path}: {e}"));
+    }
+    let report = RunReport::of(&sim);
     println!("flows      : {}/{}", report.completed, report.flows);
     println!("overall avg: {:.0} us", report.overall_avg_us);
     println!("small avg  : {:.0} us", report.small_avg_us);
@@ -52,4 +50,10 @@ fn main() {
     if opts.json {
         println!("{}", report.to_json().pretty());
     }
+}
+
+/// Print `message` and exit 1.
+fn fail(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
 }

@@ -267,8 +267,6 @@ pub mod params {
         pub const RATE: Rate = Rate(1_000_000_000);
         /// One-way per-link propagation delay (RTT = 4 × this).
         pub const LINK_DELAY: Time = Time(62_500_000_000 / 1000);
-        /// Base RTT.
-        pub const BASE_RTT: Time = Time(250 * 1_000_000);
         /// Per-port shared buffer (96 KB).
         pub const BUFFER: u64 = 96_000;
         /// Standard RED threshold (32 KB).

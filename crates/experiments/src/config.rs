@@ -1,26 +1,29 @@
-//! Declarative experiment configuration for the `tcnsim` binary: a JSON
-//! document describing topology, port policy (scheduler + AQM),
-//! transport, tagging and workload, turned into a run and an FCT report.
+//! The run description: topology, port policy (scheduler + AQM),
+//! transport, tagging, workload, faults, seed and deadline. It is the
+//! `base` of a scenario document ([`crate::scenario`]), which is what
+//! both `tcnsim` and `figs scenario` read; [`ExperimentCfg::build`]
+//! turns it into a simulation with its traffic registered.
 //!
-//! This is the "bring your own scenario" entry point for downstream
-//! users — everything the figure binaries hard-code is expressible here.
-//! The port, every duration and the fault knobs are spelled as in a
-//! scenario file ([`crate::vocab`]), and every object rejects a key it
-//! does not know.
+//! Every section may be omitted and takes the default of
+//! [`ExperimentCfg::default`]; `port` keys default one at a time. A
+//! `{ "kind": … }` object states every parameter of its kind. The port,
+//! every duration and the fault knobs are spelled by [`crate::vocab`],
+//! and every object rejects a key it does not know.
 //!
-//! ```json
-//! {
-//!   "topology": { "kind": "single_switch", "hosts": 9, "rate_gbps": 1, "delay": "62us" },
-//!   "port": {
-//!     "queues": 4, "buffer": 96000,
-//!     "sched": { "kind": "dwrr", "quantum": 1500 },
-//!     "scheme": { "kind": "tcn", "threshold": "256us" }
+//! ```json5
+//! base: {
+//!   topology: { kind: "single_switch", hosts: 9, rate_gbps: 1, delay: "62us" },
+//!   port: {
+//!     queues: 4, buffer: 96000,
+//!     sched: { kind: "dwrr", quantum: 1500 },
+//!     scheme: { kind: "tcn", threshold: "256us" },
 //!   },
-//!   "transport": "testbed_dctcp",
-//!   "tagging": { "kind": "fixed" },
-//!   "workload": { "kind": "many_to_one", "flows": 1000, "load": 0.6,
-//!                 "cdf": "web_search", "receiver": 8, "services": [0,1,2,3] },
-//!   "seed": 1
+//!   transport: "testbed_dctcp",
+//!   tagging: { kind: "fixed" },
+//!   workload: { kind: "many_to_one", flows: 1000, load: 0.6,
+//!               cdf: "web_search", receiver: 8, services: [0, 1, 2, 3] },
+//!   seed: 1,
+//!   deadline: "10000s",
 //! }
 //! ```
 
@@ -32,15 +35,17 @@ use crate::vocab::{
     PortPolicy, FAULT_KEYS,
 };
 use tcn_core::TcnError;
+use crate::scenario::{scenario_to_json5, Scenario};
 use tcn_net::{
-    fat_tree, leaf_spine, single_switch, LeafSpineConfig, NetworkSim, TaggingPolicy, TransportChoice,
+    fat_tree, leaf_spine, single_switch, FlowSpec, LeafSpineConfig, NetworkSim, TaggingPolicy,
+    TransportChoice,
 };
 use tcn_sim::{FaultPlan, LinkFaultProfile, LinkFlap, Rate, Rng, Time};
 use tcn_stats::FctBreakdown;
 use tcn_workloads::{gen_all_to_all, gen_incast, gen_many_to_one, Workload};
 
 /// Topology description.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologyCfg {
     /// Star around one switch.
     SingleSwitch {
@@ -85,19 +90,22 @@ impl TopologyCfg {
         }
     }
 
+    /// The link rate in Gb/s.
+    fn rate_gbps(&self) -> u64 {
+        let (TopologyCfg::SingleSwitch { rate_gbps, .. }
+        | TopologyCfg::LeafSpine { rate_gbps, .. }
+        | TopologyCfg::FatTree { rate_gbps, .. }) = *self;
+        rate_gbps
+    }
+
     /// The reference link rate (for load computations).
     pub fn rate(&self) -> Rate {
-        let gbps = match *self {
-            TopologyCfg::SingleSwitch { rate_gbps, .. } => rate_gbps,
-            TopologyCfg::LeafSpine { rate_gbps, .. } => rate_gbps,
-            TopologyCfg::FatTree { rate_gbps, .. } => rate_gbps,
-        };
-        Rate::from_gbps(gbps)
+        Rate::from_gbps(self.rate_gbps())
     }
 }
 
 /// Workload description.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadCfg {
     /// Poisson many-to-one toward `receiver`.
     ManyToOne {
@@ -133,6 +141,18 @@ pub enum WorkloadCfg {
         /// Receiving host.
         receiver: u32,
     },
+    /// Background traffic between uniformly random host pairs, starting
+    /// uniformly over `[0, horizon)`; flow `i` rides service `i` mod the
+    /// port's queue count.
+    Background {
+        /// Number of flows.
+        flows: usize,
+        /// Mean flow size, bytes (exponential sizes, clamped to
+        /// `[1500, 10 × mean]`).
+        mean_flow_bytes: u64,
+        /// Start times are uniform below this.
+        horizon: Time,
+    },
 }
 
 /// Optional fault-injection section (`"faults"`). Every field defaults
@@ -165,8 +185,8 @@ impl FaultsCfg {
     }
 }
 
-/// The whole experiment.
-#[derive(Debug, Clone)]
+/// The whole experiment: a scenario's `base`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentCfg {
     /// Topology.
     pub topology: TopologyCfg,
@@ -180,8 +200,32 @@ pub struct ExperimentCfg {
     pub workload: WorkloadCfg,
     /// Fault injection (absent = healthy fabric).
     pub faults: Option<FaultsCfg>,
-    /// Random seed (defaults to 1 when absent from the JSON).
+    /// Random seed.
     pub seed: u64,
+    /// Completion deadline: every flow must finish by here.
+    pub deadline: Time,
+}
+
+impl Default for ExperimentCfg {
+    /// What an omitted section means: background traffic on an 8-host
+    /// 1 Gbps star under two-queue DWRR with TCN, DCTCP transports.
+    fn default() -> Self {
+        ExperimentCfg {
+            topology: TopologyCfg::SingleSwitch { hosts: 8, rate_gbps: 1, delay: Time::from_us(25) },
+            port: PortPolicy {
+                queues: 2,
+                buffer: 96_000,
+                sched: SchedKind::Dwrr { quantum: 1500 },
+                scheme: Scheme::Tcn { threshold: Time::from_us(256) },
+            },
+            transport: TransportChoice::SimDctcp,
+            tagging: TaggingPolicy::Fixed,
+            workload: WorkloadCfg::Background { flows: 60, mean_flow_bytes: 50_000, horizon: Time::from_ms(2) },
+            faults: None,
+            seed: 1,
+            deadline: Time::from_secs(20),
+        }
+    }
 }
 
 /// The report `tcnsim` prints/serializes.
@@ -208,6 +252,25 @@ pub struct RunReport {
     pub fault_drops: u64,
     /// Events processed.
     pub events: u64,
+}
+
+impl RunReport {
+    /// The report of a simulation that has run.
+    pub fn of(sim: &NetworkSim) -> RunReport {
+        let b = FctBreakdown::from_records(&sim.fct_records());
+        RunReport {
+            completed: sim.completed_flows(),
+            flows: sim.num_flows(),
+            overall_avg_us: b.overall_avg_us,
+            small_avg_us: b.small_avg_us,
+            small_p99_us: b.small_p99_us,
+            large_avg_us: b.large_avg_us,
+            timeouts: sim.total_timeouts(),
+            drops: sim.total_drops(),
+            fault_drops: sim.fault_stats().total_drops(),
+            events: sim.events_processed(),
+        }
+    }
 }
 
 impl_to_json!(RunReport {
@@ -434,10 +497,18 @@ impl WorkloadCfg {
                     receiver: v.int_field("receiver")?,
                 })
             }
+            "background" => {
+                keys(&["flows", "mean_flow_bytes", "horizon"])?;
+                Ok(WorkloadCfg::Background {
+                    flows: v.int_field("flows")?,
+                    mean_flow_bytes: v.u64_field("mean_flow_bytes")?,
+                    horizon: duration_field(v, "horizon", None)?,
+                })
+            }
             other => Err(unknown(
                 "workload kind",
                 other,
-                &["many_to_one", "all_to_all", "incast"],
+                &["many_to_one", "all_to_all", "incast", "background"],
             )),
         }
     }
@@ -481,6 +552,12 @@ impl ToJson for WorkloadCfg {
                 ("size", size.to_json()),
                 ("waves", waves.to_json()),
                 ("receiver", receiver.to_json()),
+            ]),
+            WorkloadCfg::Background { flows, mean_flow_bytes, horizon } => Json::obj(vec![
+                ("kind", "background".to_json()),
+                ("flows", flows.to_json()),
+                ("mean_flow_bytes", mean_flow_bytes.to_json()),
+                ("horizon", duration_json(*horizon)),
             ]),
         }
     }
@@ -545,52 +622,48 @@ impl ToJson for ExperimentCfg {
             fields.push(("faults", f.to_json()));
         }
         fields.push(("seed", self.seed.to_json()));
+        fields.push(("deadline", duration_json(self.deadline)));
         Json::obj(fields)
     }
 }
 
 impl ExperimentCfg {
-    /// Parse from JSON and validate: a key the format does not know, and
-    /// every value the simulator crates would reject with an assertion
-    /// (or silently run nonsense on), is an error here.
+    /// The keys of a scenario's `base`.
+    const KEYS: [&'static str; 8] =
+        ["topology", "port", "transport", "tagging", "workload", "faults", "seed", "deadline"];
+
+    /// Read a scenario's `base` and validate it: a key the format does
+    /// not know, and every value the simulator crates would reject with
+    /// an assertion (or silently run nonsense on), is an error here. An
+    /// absent section takes its [`Default`].
     ///
     /// # Errors
-    /// `line:col: message` for malformed JSON, otherwise
-    /// `invalid configuration: <field>: <what is wrong>`.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v = Json::parse(s)?;
-        Self::from_value(&v)
-            .and_then(|cfg| cfg.validate().map(|()| cfg))
-            .map_err(|e| format!("invalid configuration: {e}"))
-    }
-
-    fn from_value(v: &Json) -> Result<Self, String> {
-        check_keys(
-            v,
-            &["topology", "port", "transport", "tagging", "workload", "faults", "seed"],
-            "config",
-        )?;
-        let section = |key: &str| v.get(key).ok_or_else(|| format!("missing field `{key}`"));
-        let port = section("port")?;
-        check_keys(port, &PortPolicy::KEYS, "port")?;
-        Ok(ExperimentCfg {
-            topology: TopologyCfg::from_json(section("topology")?)?,
-            port: PortPolicy::from_json(port, "port", None)?,
-            transport: transport_from_json(section("transport")?)?,
-            tagging: tagging_from_json(section("tagging")?)?,
-            workload: WorkloadCfg::from_json(section("workload")?)?,
+    /// A message naming the field.
+    pub fn from_value(v: &Json) -> Result<Self, String> {
+        check_keys(v, &Self::KEYS, "base")?;
+        let d = ExperimentCfg::default();
+        let cfg = ExperimentCfg {
+            topology: field(v, "topology", Some(d.topology), TopologyCfg::from_json)?,
+            port: field(v, "port", Some(d.port), |p| {
+                check_keys(p, &PortPolicy::KEYS, "port")?;
+                PortPolicy::from_json(p, "port", Some(d.port))
+            })?,
+            transport: field(v, "transport", Some(d.transport), transport_from_json)?,
+            tagging: field(v, "tagging", Some(d.tagging), tagging_from_json)?,
+            workload: field(v, "workload", Some(d.workload), WorkloadCfg::from_json)?,
             faults: v.get("faults").map(FaultsCfg::from_json).transpose()?,
-            seed: field(v, "seed", Some(1), |_| v.u64_field("seed"))?,
-        })
+            seed: field(v, "seed", Some(d.seed), |_| v.u64_field("seed"))?,
+            deadline: duration_field(v, "deadline", Some(d.deadline))?,
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 
     /// Check the values against each other and against what the
     /// simulator crates assert (the port's own checks run as it is read).
     fn validate(&self) -> Result<(), String> {
         let ensure = |ok: bool, problem: String| if ok { Ok(()) } else { Err(problem) };
-        let (TopologyCfg::SingleSwitch { rate_gbps, .. }
-        | TopologyCfg::LeafSpine { rate_gbps, .. }
-        | TopologyCfg::FatTree { rate_gbps, .. }) = self.topology;
+        let rate_gbps = self.topology.rate_gbps();
         ensure(
             rate_gbps > 0 && rate_gbps.checked_mul(1_000_000_000).is_some(),
             format!("topology.rate_gbps: {rate_gbps} is not a positive rate in range"),
@@ -608,6 +681,12 @@ impl ExperimentCfg {
             WorkloadCfg::Incast { fanout, receiver, .. } => {
                 (None, Some(*receiver), ("fanout", *fanout))
             }
+            WorkloadCfg::Background { mean_flow_bytes: m, .. } => {
+                return ensure(
+                    (150..=u64::MAX / 10).contains(m),
+                    format!("workload.mean_flow_bytes: {m} cannot bound sizes to [1500, 10 × {m}]"),
+                );
+            }
         };
         if let Some(load) = load {
             ensure(load > 0.0, format!("workload.load: {load} is not a positive number"))?;
@@ -621,11 +700,14 @@ impl ExperimentCfg {
         ensure(sources.1 > 0, format!("workload.{}: needs at least one", sources.0))
     }
 
-    /// Build the simulation and register the workload.
+    /// Build the simulation, register the workload, then install the
+    /// fault plan.
     ///
     /// # Errors
     /// Returns [`TcnError::Topology`] / [`TcnError::Config`] when the
-    /// configured topology cannot be realized.
+    /// configured topology cannot be realized, and [`TcnError::Config`]
+    /// when a flap names a link the topology lacks or its windows
+    /// contradict each other.
     pub fn build(&self) -> Result<NetworkSim, TcnError> {
         let tcp = self.transport.config();
         let tagging = self.tagging;
@@ -722,50 +804,50 @@ impl ExperimentCfg {
                 }
                 all
             }
+            WorkloadCfg::Background {
+                flows,
+                mean_flow_bytes,
+                horizon,
+            } => {
+                // Exponential sizes, uniform starts over the horizon,
+                // uniformly random (src, dst) pairs, from a dedicated RNG
+                // stream.
+                let mut rng = Rng::stream(self.seed, 0x5ce7a510);
+                let horizon_ps = horizon.as_ps().max(1);
+                let mean = *mean_flow_bytes;
+                (0..*flows)
+                    .map(|i| {
+                        let src = rng.gen_range(u64::from(hosts)) as u32;
+                        let dst = rng.pick_other(u64::from(hosts), u64::from(src)) as u32;
+                        let size = (rng.exp(mean as f64) as u64).clamp(1_500, 10 * mean);
+                        FlowSpec {
+                            src,
+                            dst,
+                            size,
+                            start: Time::from_ps(rng.gen_range(horizon_ps)),
+                            service: (i % self.port.queues) as u8,
+                        }
+                    })
+                    .collect()
+            }
         };
         for spec in specs {
             sim.add_flow(spec);
         }
         if let Some(f) = &self.faults {
-            sim.install_faults(&f.plan(self.seed));
+            let plan = f.plan(self.seed);
+            let bad = |e| TcnError::config(format!("faults.flaps: {e}"));
+            plan.check_flaps(sim.num_links()).map_err(bad)?;
+            sim.install_faults(&plan);
         }
         Ok(sim)
     }
-
-    /// Build, run to completion, and report.
-    ///
-    /// # Errors
-    /// Propagates build failures and any [`TcnError`] raised by the
-    /// event loop (including watchdog stalls).
-    pub fn run(&self) -> Result<RunReport, TcnError> {
-        let mut sim = self.build()?;
-        let done = sim.run_to_completion(Time::from_secs(10_000))?;
-        let b = FctBreakdown::from_records(&sim.fct_records());
-        let report = RunReport {
-            completed: sim.completed_flows(),
-            flows: sim.num_flows(),
-            overall_avg_us: b.overall_avg_us,
-            small_avg_us: b.small_avg_us,
-            small_p99_us: b.small_p99_us,
-            large_avg_us: b.large_avg_us,
-            timeouts: sim.total_timeouts(),
-            drops: sim.total_drops(),
-            fault_drops: sim.fault_stats().total_drops(),
-            events: sim.events_processed(),
-        };
-        debug_assert!(done || report.completed < report.flows);
-        Ok(report)
-    }
 }
 
-/// A ready-to-edit example configuration (printed by `tcnsim --example`).
+/// A ready-to-edit example document (printed by `tcnsim --example`).
 pub fn example_json() -> String {
-    let cfg = ExperimentCfg {
-        topology: TopologyCfg::SingleSwitch {
-            hosts: 9,
-            rate_gbps: 1,
-            delay: Time::from_us(62),
-        },
+    let base = ExperimentCfg {
+        topology: TopologyCfg::SingleSwitch { hosts: 9, rate_gbps: 1, delay: Time::from_us(62) },
         port: PortPolicy {
             queues: 4,
             buffer: 96_000,
@@ -773,7 +855,6 @@ pub fn example_json() -> String {
             scheme: Scheme::Tcn { threshold: Time::from_us(256) },
         },
         transport: TransportChoice::TestbedDctcp,
-        tagging: TaggingPolicy::Fixed,
         workload: WorkloadCfg::ManyToOne {
             flows: 1_000,
             load: 0.6,
@@ -781,25 +862,50 @@ pub fn example_json() -> String {
             receiver: 8,
             services: vec![0, 1, 2, 3],
         },
-        faults: None,
-        seed: 1,
+        deadline: Time::from_secs(10_000),
+        ..ExperimentCfg::default()
     };
-    cfg.to_json().pretty()
+    scenario_to_json5(&Scenario {
+        id: "tcnsim-example".into(),
+        about: "web-search many-to-one at load 0.6, four DWRR queues under TCN".into(),
+        tags: vec!["example".into()],
+        base,
+        loops: 1,
+        period: Time::ZERO,
+        steps: Vec::new(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::parse_scenario;
+
+    /// The `base` of a scenario document.
+    fn read(text: &str) -> Result<ExperimentCfg, String> {
+        Json::parse_json5(text).and_then(|v| parse_scenario(&v)).map(|sc| sc.base)
+    }
+
+    /// A document whose `base` is `cfg`.
+    fn doc(cfg: &ExperimentCfg) -> String {
+        format!(r#"{{ "id": "x", "base": {} }}"#, cfg.to_json().pretty())
+    }
+
+    /// Build, run to the deadline, report.
+    fn run(cfg: &ExperimentCfg) -> RunReport {
+        let mut sim = cfg.build().expect("build");
+        sim.run_to_completion(cfg.deadline).expect("run");
+        RunReport::of(&sim)
+    }
 
     #[test]
     fn example_roundtrips_and_runs() {
-        let json = example_json();
-        let mut cfg = ExperimentCfg::from_json(&json).expect("parse example");
+        let mut cfg = read(&example_json()).expect("parse example");
         // Shrink for test speed.
         if let WorkloadCfg::ManyToOne { flows, .. } = &mut cfg.workload {
             *flows = 120;
         }
-        let report = cfg.run().expect("run");
+        let report = run(&cfg);
         assert_eq!(report.completed, 120);
         assert!(report.overall_avg_us > 0.0);
         assert!(report.events > 0);
@@ -807,8 +913,18 @@ mod tests {
 
     #[test]
     fn rejects_malformed_json() {
-        assert!(ExperimentCfg::from_json("{").is_err());
-        assert!(ExperimentCfg::from_json("{\"topology\":{\"kind\":\"ring\"}}").is_err());
+        assert!(read("{").is_err());
+        assert!(read(r#"{"id": "x", "base": {"topology": {"kind": "ring"}}}"#).is_err());
+    }
+
+    /// Every section of `base`, and `base` itself, may be omitted.
+    #[test]
+    fn an_omitted_section_is_its_default() {
+        assert_eq!(read(r#"{"id": "x"}"#), Ok(ExperimentCfg::default()));
+        assert_eq!(read(r#"{"id": "x", "base": {"port": {}}}"#), Ok(ExperimentCfg::default()));
+        let cfg = read(r#"{"id": "x", "base": {"port": {"queues": 3}, "seed": 5}}"#).expect("parses");
+        let d = ExperimentCfg::default();
+        assert_eq!(cfg, ExperimentCfg { port: PortPolicy { queues: 3, ..d.port }, seed: 5, ..d });
     }
 
     /// Each single-value edit of the example is an error naming the
@@ -816,10 +932,11 @@ mod tests {
     /// simulator crate, or ran a simulation of nothing.
     #[test]
     fn single_field_edits_of_the_example_are_field_named_errors() {
-        let tcn = "\"kind\": \"tcn\",\n      \"threshold\": \"256us\"";
+        let tcn = "\"kind\": \"tcn\",\n        \"threshold\": \"256us\"";
         let prob = |t_min: u64, p_max: f64| {
             format!(r#""kind": "tcn_prob", "t_min": "{t_min}us", "t_max": "300us", "p_max": {p_max}"#)
         };
+        let services = "[\n        0,\n        1,\n        2,\n        3\n      ]";
         let edits: Vec<(&str, String, &str)> = vec![
             ("\"receiver\": 8", "\"receiver\": 99".into(), "workload.receiver"),
             ("\"queues\": 4", "\"queues\": 0".into(), "port.queues"),
@@ -832,7 +949,7 @@ mod tests {
             ("\"rate_gbps\": 1", "\"rate_gbps\": 0".into(), "topology.rate_gbps"),
             ("\"delay\": \"62us\"", "\"delay\": \"99999999999999us\"".into(), "field `delay`"),
             ("\"hosts\": 9", "\"hosts\": 1".into(), "topology"),
-            ("0,\n      1,\n      2,\n      3\n    ]", "]".into(), "workload.services"),
+            (services, "[]".into(), "workload.services"),
             // Past the field's integer type: wrapped, these would be a valid
             // receiver 8 and link 1.
             ("\"receiver\": 8", "\"receiver\": 4294967304".into(), "field `receiver`"),
@@ -846,89 +963,62 @@ mod tests {
         let example = example_json();
         for (from, to, field) in edits {
             assert!(example.contains(from), "the example no longer contains `{from}`");
-            let err = ExperimentCfg::from_json(&example.replace(from, &to)).expect_err(&to);
-            assert!(err.starts_with(&format!("invalid configuration: {field}")), "`{to}`: {err}");
+            let err = read(&example.replace(from, &to)).expect_err(&to);
+            assert!(err.starts_with(field), "`{to}`: {err}");
         }
         // The strict-priority hybrids need a queue below the strict one.
         let sp = example.replace("\"kind\": \"dwrr\"", "\"kind\": \"sp_dwrr\"");
-        assert!(ExperimentCfg::from_json(&sp).is_ok());
-        let err = ExperimentCfg::from_json(&sp.replace("\"queues\": 4", "\"queues\": 1"));
+        assert!(read(&sp).is_ok());
+        let err = read(&sp.replace("\"queues\": 4", "\"queues\": 1"));
         let err = err.expect_err("one queue under sp_dwrr");
-        assert!(err.starts_with("invalid configuration: port.queues"), "{err}");
+        assert!(err.starts_with("port.queues"), "{err}");
         // `all_to_all` counts its services in a `u8`: wrapped, 256 and 260
         // would be 0 and 4.
         let a2a = example
             .replace("many_to_one", "all_to_all")
-            .replace("\n    \"cdf\": \"web_search\",\n    \"receiver\": 8,", "")
-            .replace("[\n      0,\n      1,\n      2,\n      3\n    ]", "4");
-        assert!(ExperimentCfg::from_json(&a2a).is_ok());
+            .replace("\n      \"cdf\": \"web_search\",\n      \"receiver\": 8,", "")
+            .replace(services, "4");
+        assert!(read(&a2a).is_ok(), "{a2a}");
         for n in ["256", "260"] {
-            let err = ExperimentCfg::from_json(&a2a.replace("\"services\": 4", &format!("\"services\": {n}")));
+            let err = read(&a2a.replace("\"services\": 4", &format!("\"services\": {n}")));
             let err = err.expect_err(n);
-            assert!(err.starts_with("invalid configuration: field `services`"), "{err}");
+            assert!(err.starts_with("field `services`"), "{err}");
         }
     }
 
     #[test]
     fn fat_tree_incast_config_runs() {
-        let cfg = ExperimentCfg {
-            topology: TopologyCfg::FatTree { k: 4, rate_gbps: 10 },
-            port: PortPolicy {
-                queues: 2,
-                buffer: 300_000,
-                sched: SchedKind::Wfq,
-                scheme: Scheme::Tcn { threshold: Time::from_us(78) },
-            },
-            transport: TransportChoice::SimDctcp,
-            tagging: TaggingPolicy::Fixed,
-            workload: WorkloadCfg::Incast {
-                fanout: 8,
-                size: 32_000,
-                waves: 2,
-                receiver: 0,
-            },
-            faults: None,
-            seed: 7,
-        };
-        let report = cfg.run().expect("run");
-        assert_eq!(report.completed, 16);
+        let cfg = read(
+            r#"{ id: "x", base: {
+                topology: { kind: "fat_tree", k: 4, rate_gbps: 10 },
+                port: { queues: 2, buffer: 300000, sched: { kind: "wfq" },
+                        scheme: { kind: "tcn", threshold: "78us" } },
+                workload: { kind: "incast", fanout: 8, size: 32000, waves: 2, receiver: 0 },
+                seed: 7,
+            } }"#,
+        );
+        assert_eq!(run(&cfg.expect("parses")).completed, 16);
     }
 
     #[test]
     fn all_to_all_pias_leaf_spine_runs() {
-        let cfg = ExperimentCfg {
-            topology: TopologyCfg::LeafSpine {
-                leaves: 3,
-                spines: 3,
-                hosts_per_leaf: 3,
-                rate_gbps: 10,
-            },
-            port: PortPolicy {
-                queues: 8,
-                buffer: 300_000,
-                sched: SchedKind::SpDwrr { quantum: 1_500 },
-                scheme: Scheme::CoDel {
-                    target: Time::from_us(16),
-                    interval: Time::from_us(340),
-                },
-            },
-            transport: TransportChoice::SimEcnStar,
-            tagging: TaggingPolicy::Pias { threshold: 100_000 },
-            workload: WorkloadCfg::AllToAll {
-                flows: 200,
-                load: 0.5,
-                services: 7,
-            },
-            faults: None,
-            seed: 2,
-        };
-        let report = cfg.run().expect("run");
-        assert_eq!(report.completed, 200);
+        let cfg = read(
+            r#"{ id: "x", base: {
+                topology: { kind: "leaf_spine", leaves: 3, spines: 3, hosts_per_leaf: 3, rate_gbps: 10 },
+                port: { queues: 8, buffer: 300000, sched: { kind: "sp_dwrr", quantum: 1500 },
+                        scheme: { kind: "codel", target: "16us", interval: "340us" } },
+                transport: "sim_ecn_star",
+                tagging: { kind: "pias", threshold: 100000 },
+                workload: { kind: "all_to_all", flows: 200, load: 0.5, services: 7 },
+                seed: 2,
+            } }"#,
+        );
+        assert_eq!(run(&cfg.expect("parses")).completed, 200);
     }
 
     #[test]
     fn faults_section_roundtrips_and_runs() {
-        let json = r#"{
+        let json = r#"{ "id": "x", "base": {
             "topology": { "kind": "leaf_spine", "leaves": 3, "spines": 3,
                           "hosts_per_leaf": 3, "rate_gbps": 10 },
             "port": { "queues": 2, "buffer": 300000,
@@ -940,17 +1030,17 @@ mod tests {
             "faults": { "loss": 0.005, "detection_delay": "100us",
                         "flaps": [ { "link": 18, "down_at": "500us", "up_at": "3ms" } ] },
             "seed": 4
-        }"#;
-        let cfg = ExperimentCfg::from_json(json).expect("parse faults config");
+        } }"#;
+        let cfg = read(json).expect("parse faults config");
         let f = cfg.faults.as_ref().expect("faults parsed");
         assert_eq!(f.profile, LinkFaultProfile::loss(0.005), "absent knobs default to off");
         let flap = LinkFlap { link: 18, down_at: Time::from_us(500), up_at: Some(Time::from_ms(3)) };
         assert_eq!(f.flaps, vec![flap]);
         // Serialize → reparse → identical section.
-        let back = ExperimentCfg::from_json(&cfg.to_json().pretty()).expect("reparse");
+        let back = read(&doc(&cfg)).expect("reparse");
         assert_eq!(back.faults.as_ref(), Some(f));
         // And it actually injects: flows still complete, faults counted.
-        let report = cfg.run().expect("run");
+        let report = run(&cfg);
         assert_eq!(report.completed, report.flows);
         assert!(report.fault_drops > 0, "0.5% loss drew nothing");
     }
@@ -958,27 +1048,26 @@ mod tests {
     #[test]
     fn omitted_faults_section_is_a_healthy_fabric() {
         let json = example_json();
-        let cfg = ExperimentCfg::from_json(&json).expect("parse example");
+        let cfg = read(&json).expect("parse example");
         assert!(cfg.faults.is_none());
         assert!(!json.contains("faults"), "example stays minimal");
     }
 
     #[test]
     fn seed_changes_results() {
-        let json = example_json();
-        let mut a = ExperimentCfg::from_json(&json).unwrap();
+        let mut a = read(&example_json()).unwrap();
         if let WorkloadCfg::ManyToOne { flows, .. } = &mut a.workload {
             *flows = 80;
         }
         let mut b = a.clone();
         b.seed = 99;
-        let (ra, rb) = (a.run().expect("run"), b.run().expect("run"));
+        let (ra, rb) = (run(&a), run(&b));
         assert_ne!(
             (ra.overall_avg_us, ra.events),
             (rb.overall_avg_us, rb.events)
         );
         // And equal seeds replay identically.
-        let ra2 = a.run().expect("run");
+        let ra2 = run(&a);
         assert_eq!(ra.overall_avg_us, ra2.overall_avg_us);
         assert_eq!(ra.events, ra2.events);
     }

@@ -4,7 +4,7 @@
 //! The workspace must build and test fully offline (no registry), so
 //! `serde`/`serde_json` are off the table. Experiments only need two
 //! things from JSON: *writing* flat result records (`--json` output) and
-//! *reading* the declarative `tcnsim` configuration format. Both fit in
+//! *reading* the declarative scenario documents. Both fit in
 //! a small value tree with a hand-rolled parser and pretty-printer.
 //!
 //! * [`Json`] — the value tree (objects keep insertion order so output
@@ -17,8 +17,8 @@
 //!   hand-written config deserializers.
 //!
 //! Every text format a user can hand the program goes through this one
-//! reader: `tcnsim` configs, checkpoint and trace lines and result files
-//! in the strict dialect, scenario files in the JSON5 dialect. `xtask`
+//! reader: checkpoint and trace lines and result files in the strict
+//! dialect, scenario documents (also `tcnsim`'s) in the JSON5 dialect. `xtask`
 //! mounts this same file with `#[path]` to check its own lint output, so
 //! the file must stay free of `crate::` paths outside `crate::json`.
 //!

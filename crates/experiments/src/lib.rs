@@ -24,9 +24,11 @@
 //!
 //! Outside input enters in two places only: flags and `TCN_*` variables
 //! through [`options::RunOptions::parse`], called once by each binary
-//! and handed down, and files through the one reader in [`json`]. The
-//! two run-file formats (`tcnsim` configs, scenario files) spell the
-//! switch port, durations and fault knobs through one module, [`vocab`].
+//! and handed down, and files through the one reader in [`json`]. A run
+//! is written one way, as a scenario document ([`scenario`]) whose
+//! `base` is a [`config::ExperimentCfg`]; `tcnsim` and `figs scenario`
+//! both read it, and it spells the switch port, durations and fault
+//! knobs through one module, [`vocab`].
 //!
 //! Grid-shaped runners fan their independent cells out over [`runner`]'s
 //! scoped thread pool; results merge in canonical cell order, so output

@@ -85,16 +85,7 @@ impl ToJson for MixedResult {
 
 /// Jain fairness index over the three tenants of one (sched, scheme)
 /// combination.
-pub fn jain(shares: &[f64]) -> f64 {
-    let n = shares.len() as f64;
-    let sum: f64 = shares.iter().sum();
-    let sq: f64 = shares.iter().map(|s| s * s).sum();
-    if sq == 0.0 {
-        0.0
-    } else {
-        sum * sum / (n * sq)
-    }
-}
+pub use tcn_stats::jain_index as jain;
 
 /// The scheduler/AQM grid the family sweeps.
 fn grid() -> Vec<(&'static str, SchedKind, &'static str, Scheme)> {

@@ -76,11 +76,6 @@ impl<T> CellOutcome<T> {
             CellOutcome::Failed { .. } => None,
         }
     }
-
-    /// True when every attempt failed.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, CellOutcome::Failed { .. })
-    }
 }
 
 /// Best-effort extraction of the human-readable panic message.

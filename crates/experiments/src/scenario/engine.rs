@@ -9,12 +9,13 @@
 //! instant, so they flow through the normal flow bookkeeping (and the
 //! completion check counts them).
 
-use super::{BaseConfig, LinkSel, Scenario, Step, StepMutation};
-use crate::json::{Json, ToJson};
+use super::{LinkSel, Scenario, StepMutation};
+use crate::config::WorkloadCfg;
+use crate::impl_to_json;
+use crate::json::Json;
 use tcn_core::{AqmParams, TcnError};
-use tcn_net::{single_switch, single_switch_downlink, FlowSpec, NetMutation, NetworkSim, TaggingPolicy};
-use tcn_sim::{Rate, Rng, Time};
-use tcn_transport::{Cc, TcpConfig};
+use tcn_net::{FlowSpec, NetMutation, NetworkSim};
+use tcn_sim::{Rate, Time};
 
 /// What one scenario run produced: completion counts, mark/drop
 /// accounting, fault-injection totals, FCT stats, and the reconfig log.
@@ -47,31 +48,24 @@ pub struct ScenarioReport {
     pub reconfigs: Vec<String>,
 }
 
-impl ToJson for ScenarioReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Str(self.id.clone())),
-            ("flows", Json::Num(self.flows as f64)),
-            ("completed", Json::Num(self.completed as f64)),
-            ("marks", Json::Num(self.marks as f64)),
-            ("drops", Json::Num(self.drops as f64)),
-            ("drain_drops", Json::Num(self.drain_drops as f64)),
-            ("loss_drops", Json::Num(self.loss_drops as f64)),
-            ("corrupt_drops", Json::Num(self.corrupt_drops as f64)),
-            ("link_downs", Json::Num(self.link_downs as f64)),
-            ("avg_fct_us", Json::Num(self.avg_fct_us)),
-            ("p99_fct_us", Json::Num(self.p99_fct_us)),
-            (
-                "reconfigs",
-                Json::Arr(self.reconfigs.iter().map(|r| Json::Str(r.clone())).collect()),
-            ),
-        ])
-    }
-}
+impl_to_json!(ScenarioReport {
+    id,
+    flows,
+    completed,
+    marks,
+    drops,
+    drain_drops,
+    loss_drops,
+    corrupt_drops,
+    link_downs,
+    avg_fct_us,
+    p99_fct_us,
+    reconfigs,
+});
 
 impl ScenarioReport {
     /// Parse back from a checkpoint payload — the exact inverse of
-    /// [`ToJson::to_json`], used by the batch runner's resume path.
+    /// [`crate::json::ToJson::to_json`], used by the batch runner's resume path.
     ///
     /// # Errors
     /// A message naming the missing or mistyped field.
@@ -108,117 +102,66 @@ impl ScenarioReport {
 /// own `flows`.
 const QUICK_FLOW_CAP: usize = 24;
 
-/// The fixed fabric the scenario DSL scripts against: 1 Gbit/s links,
-/// 25 µs per-hop propagation (testbed-like RTT), DCTCP transports.
-const LINK_RATE_GBPS: u64 = 1;
-const HOP_DELAY_US: u64 = 25;
-
-fn expand_links(base: &BaseConfig, sel: LinkSel) -> Vec<u32> {
-    match sel {
-        LinkSel::One(l) => vec![l],
-        LinkSel::All => (0..base.hosts as u32)
-            .map(|h| single_switch_downlink(h) as u32)
-            .collect(),
+/// The mutations one step compiles to: `all` is what `link: "all"`
+/// names, `switch` the node a drain empties.
+fn mutation_events(change: &StepMutation, all: &[u32], switch: u32) -> Vec<NetMutation> {
+    let each = |sel: LinkSel, make: &dyn Fn(u32) -> NetMutation| match sel {
+        LinkSel::One(l) => vec![make(l)],
+        LinkSel::All => all.iter().map(|&l| make(l)).collect(),
+    };
+    match change {
+        StepMutation::Conditions { link, profile } => {
+            each(*link, &|l| NetMutation::LinkConditions { link: l, profile: *profile })
+        }
+        StepMutation::LinkDown { link } => vec![NetMutation::LinkAdmin { link: *link, up: false }],
+        StepMutation::LinkUp { link } => vec![NetMutation::LinkAdmin { link: *link, up: true }],
+        StepMutation::LinkRate { link, mbps } => {
+            each(*link, &|l| NetMutation::LinkRate { link: l, rate: Rate::from_mbps(*mbps) })
+        }
+        StepMutation::Drain => vec![NetMutation::DrainSwitch { node: switch }],
+        StepMutation::AqmTcn { link, threshold } => each(*link, &|l| NetMutation::AqmParams {
+            link: l,
+            params: AqmParams::Tcn { threshold: *threshold },
+        }),
+        StepMutation::AqmRed { link, min, max } => each(*link, &|l| NetMutation::AqmParams {
+            link: l,
+            params: AqmParams::Red { min: *min, max: *max },
+        }),
+        StepMutation::AqmCodel { link, target } => each(*link, &|l| NetMutation::AqmParams {
+            link: l,
+            params: AqmParams::CoDel { target: *target },
+        }),
+        StepMutation::CcSwitch { service, cc } => {
+            vec![NetMutation::CcSwitch { service: *service, cc: *cc }]
+        }
+        StepMutation::Burst { .. } => Vec::new(), // handled as flows
     }
 }
 
-fn mutation_events(
-    base: &BaseConfig,
-    step: &Step,
-) -> Result<Vec<NetMutation>, TcnError> {
-    let muts = match &step.change {
-        StepMutation::Conditions { link, profile } => expand_links(base, *link)
-            .into_iter()
-            .map(|l| NetMutation::LinkConditions { link: l, profile: *profile })
-            .collect(),
-        StepMutation::LinkDown { link } => {
-            vec![NetMutation::LinkAdmin { link: *link, up: false }]
-        }
-        StepMutation::LinkUp { link } => {
-            vec![NetMutation::LinkAdmin { link: *link, up: true }]
-        }
-        StepMutation::LinkRate { link, mbps } => expand_links(base, *link)
-            .into_iter()
-            .map(|l| NetMutation::LinkRate {
-                link: l,
-                rate: Rate::from_mbps(*mbps),
-            })
-            .collect(),
-        StepMutation::Drain => vec![NetMutation::DrainSwitch {
-            node: base.hosts as u32,
-        }],
-        StepMutation::AqmTcn { link, threshold } => expand_links(base, *link)
-            .into_iter()
-            .map(|l| NetMutation::AqmParams {
-                link: l,
-                params: AqmParams::Tcn { threshold: *threshold },
-            })
-            .collect(),
-        StepMutation::AqmRed { link, min, max } => expand_links(base, *link)
-            .into_iter()
-            .map(|l| NetMutation::AqmParams {
-                link: l,
-                params: AqmParams::Red { min: *min, max: *max },
-            })
-            .collect(),
-        StepMutation::AqmCodel { link, target } => expand_links(base, *link)
-            .into_iter()
-            .map(|l| NetMutation::AqmParams {
-                link: l,
-                params: AqmParams::CoDel { target: *target },
-            })
-            .collect(),
-        StepMutation::CcSwitch { service, cc } => vec![NetMutation::CcSwitch {
-            service: *service,
-            cc: *cc,
-        }],
-        StepMutation::Burst { .. } => Vec::new(), // handled as flows
-    };
-    Ok(muts)
-}
-
-/// Build the sim for a scenario: the base star, the background
-/// traffic, every step compiled onto the calendar queue, and the burst
-/// flows registered at their step instants.
+/// Build the sim for a scenario: the base ([`crate::config::ExperimentCfg::build`]:
+/// topology, traffic, faults), every step compiled onto the calendar
+/// queue, and the burst flows registered at their step instants.
+/// `quick` caps a background workload at [`QUICK_FLOW_CAP`] flows.
+///
+/// Steps resolve against the built topology: `link: "all"` is every
+/// link except the host NICs (`2h`), a drain empties node `hosts` (the
+/// star's switch; leaf 0 or edge 0 of a fabric), and a burst's `dst`
+/// must be a host.
 ///
 /// # Errors
-/// [`TcnError::Config`] when a step targets a link or node outside the
-/// star (surfaced at schedule time, before any packet moves).
+/// The base's build errors, and [`TcnError::Config`] when a step
+/// targets a link or node outside the topology (surfaced at schedule
+/// time, before any packet moves).
 pub fn build_sim(sc: &Scenario, quick: bool) -> Result<NetworkSim, TcnError> {
-    let base = &sc.base;
-    let link = Rate::from_gbps(LINK_RATE_GBPS);
-    let mtu = 1500u32;
-    let mut sim = single_switch(
-        base.hosts,
-        link,
-        Time::from_us(HOP_DELAY_US),
-        TcpConfig::preset(Cc::Dctcp).sim(),
-        TaggingPolicy::Fixed,
-        || base.port.setup(link, mtu, base.seed),
-    )?;
-
-    // Background traffic: exponential sizes, uniform starts over the
-    // horizon, uniformly random (src, dst) pairs. One dedicated RNG
-    // stream, so step edits never reshuffle the base workload.
-    let flows = if quick {
-        base.flows.min(QUICK_FLOW_CAP)
-    } else {
-        base.flows
-    };
-    let mut rng = Rng::stream(base.seed, 0x5ce7a510);
-    let horizon_ps = sc.base.horizon.as_ps().max(1);
-    for i in 0..flows {
-        let src = rng.gen_range(base.hosts as u64) as u32;
-        let dst = rng.pick_other(base.hosts as u64, u64::from(src)) as u32;
-        let size = (rng.exp(base.mean_flow_bytes as f64) as u64).clamp(1_500, 10 * base.mean_flow_bytes);
-        sim.add_flow(FlowSpec {
-            src,
-            dst,
-            size,
-            start: Time::from_ps(rng.gen_range(horizon_ps)),
-            service: (i % base.port.queues) as u8,
-        });
+    let mut base = sc.base.clone();
+    if let (true, WorkloadCfg::Background { flows, .. }) = (quick, &mut base.workload) {
+        *flows = (*flows).min(QUICK_FLOW_CAP);
     }
+    let mut sim = base.build()?;
+    let hosts = base.topology.hosts() as u32;
+    let queues = base.port.queues;
+    let all: Vec<u32> =
+        (0..sim.num_links() as u32).filter(|&l| l % 2 == 1 || l >= 2 * hosts).collect();
 
     // Steps, expanded across loop iterations.
     for iter in 0..sc.loops {
@@ -226,30 +169,30 @@ pub fn build_sim(sc: &Scenario, quick: bool) -> Result<NetworkSim, TcnError> {
         for step in &sc.steps {
             let at = origin.saturating_add(step.at);
             if let StepMutation::Burst { dst, senders, bytes } = step.change {
-                if dst as usize >= base.hosts {
+                if dst >= hosts {
                     return Err(TcnError::config(format!(
-                        "scenario `{}`: burst dst {dst} outside {} hosts",
-                        sc.id, base.hosts
+                        "scenario `{}`: burst dst {dst} outside {hosts} hosts",
+                        sc.id
                     )));
                 }
                 // Senders cycle through the other hosts, so an incast
-                // wider than the star reuses senders round-robin.
+                // wider than the topology reuses senders round-robin.
                 let mut sender = 0u32;
                 for k in 0..senders {
                     if sender == dst {
-                        sender = (sender + 1) % base.hosts as u32;
+                        sender = (sender + 1) % hosts;
                     }
                     sim.add_flow(FlowSpec {
                         src: sender,
                         dst,
                         size: bytes,
                         start: at,
-                        service: (k as usize % base.port.queues) as u8,
+                        service: (k as usize % queues) as u8,
                     });
-                    sender = (sender + 1) % base.hosts as u32;
+                    sender = (sender + 1) % hosts;
                 }
             } else {
-                for m in mutation_events(base, step)? {
+                for m in mutation_events(&step.change, &all, hosts) {
                     sim.schedule_mutation(at, m).map_err(|e| {
                         TcnError::config(format!(
                             "scenario `{}` step at {at:?} ({}): {e}",
@@ -345,28 +288,29 @@ pub fn run_scenario_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{SchedKind, Scheme};
-    use crate::scenario::Scenario;
+    use crate::common::Scheme;
+    use crate::config::{ExperimentCfg, TopologyCfg};
+    use crate::scenario::{parse_scenario, Step};
     use crate::vocab::PortPolicy;
     use tcn_sim::LinkFaultProfile;
 
+    fn background(flows: usize) -> WorkloadCfg {
+        WorkloadCfg::Background { flows, mean_flow_bytes: 50_000, horizon: Time::from_ms(1) }
+    }
+
     fn tiny(steps: Vec<Step>) -> Scenario {
+        let d = ExperimentCfg::default();
         Scenario {
             id: "tiny".into(),
             about: String::new(),
             tags: Vec::new(),
-            base: BaseConfig {
-                hosts: 4,
-                flows: 12,
+            base: ExperimentCfg {
+                topology: TopologyCfg::SingleSwitch { hosts: 4, rate_gbps: 1, delay: Time::from_us(25) },
+                port: PortPolicy { scheme: Scheme::Tcn { threshold: Time::from_us(100) }, ..d.port },
+                workload: background(12),
                 seed: 9,
-                horizon: Time::from_ms(1),
                 deadline: Time::from_secs(10),
-                port: PortPolicy {
-                    scheme: Scheme::Tcn { threshold: Time::from_us(100) },
-                    sched: SchedKind::Dwrr { quantum: 1500 },
-                    ..BaseConfig::default().port
-                },
-                ..BaseConfig::default()
+                ..d
             },
             loops: 1,
             period: Time::from_ms(1),
@@ -435,7 +379,7 @@ mod tests {
     #[test]
     fn quick_mode_caps_background_flows() {
         let mut sc = tiny(Vec::new());
-        sc.base.flows = 200;
+        sc.base.workload = background(200);
         let report = run_scenario(&sc, true).expect("quick run");
         assert_eq!(report.flows, QUICK_FLOW_CAP);
     }
@@ -481,5 +425,32 @@ mod tests {
         assert_eq!(report.reconfigs.len(), 2);
         assert!(report.reconfigs[0].contains("11"), "{}", report.reconfigs[0]);
         assert!(report.reconfigs[1].contains("13"), "{}", report.reconfigs[1]);
+    }
+
+    /// On a fabric, `link: "all"` is every link but the host NICs, and a
+    /// drain empties node `hosts` (leaf 0).
+    #[test]
+    fn steps_resolve_against_a_leaf_spine_base() {
+        let doc = r#"{
+            id: "fabric-steps",
+            base: {
+                topology: { kind: "leaf_spine", leaves: 2, spines: 2, hosts_per_leaf: 2, rate_gbps: 10 },
+                workload: { kind: "background", flows: 16, mean_flow_bytes: 30000, horizon: "1ms" },
+            },
+            steps: [
+                { at: "200us", do: { kind: "aqm-tcn", link: "all", threshold: "100us" } },
+                { at: "300us", do: { kind: "drain" } },
+            ],
+        }"#;
+        let sc = parse_scenario(&Json::parse_json5(doc).expect("JSON5")).expect("scenario");
+        let report = run_scenario(&sc, false).expect("fabric run");
+        assert_eq!(report.completed, 16);
+        // 4 hosts: NICs 0, 2, 4, 6; leaf→host 1, 3, 5, 7; 8 leaf↔spine links.
+        let links: Vec<String> = [1, 3, 5, 7].into_iter().chain(8..16).map(|l| format!("aqm link={l} ")).collect();
+        assert_eq!(report.reconfigs.len(), links.len() + 1, "{:?}", report.reconfigs);
+        for (line, want) in report.reconfigs.iter().zip(&links) {
+            assert!(line.contains(want), "{line} lacks `{want}`");
+        }
+        assert!(report.reconfigs[links.len()].contains("drain-switch node=4 "), "{:?}", report.reconfigs);
     }
 }

@@ -13,8 +13,9 @@ use std::path::PathBuf;
 
 use super::engine::run_scenario;
 use super::parse::scenario_to_json5;
-use super::{BaseConfig, LinkSel, Scenario, Step, StepMutation};
+use super::{LinkSel, Scenario, Step, StepMutation};
 use crate::common::{SchedKind, Scheme};
+use crate::config::{ExperimentCfg, TopologyCfg, WorkloadCfg};
 use crate::json::{Json, ToJson};
 use crate::runner::{default_threads, run_cell_outcomes_with, run_isolated, CellOutcome};
 use crate::vocab::PortPolicy;
@@ -142,20 +143,22 @@ pub fn gen_scenario(master_seed: u64, seed: usize, step_budget: usize) -> Scenar
         2 => SchedKind::Sp,
         _ => SchedKind::Wrr,
     };
-    let base = BaseConfig {
-        hosts,
+    let base = ExperimentCfg {
+        topology: TopologyCfg::SingleSwitch { hosts, rate_gbps: 1, delay: Time::from_us(25) },
         port: PortPolicy {
             queues: 2,
             buffer: 96_000 + rng.gen_range(3) * 64_000,
             sched,
             scheme,
         },
-        flows: 12 + rng.gen_range(19) as usize, // 12..=30
-        mean_flow_bytes: 30_000,
+        workload: WorkloadCfg::Background {
+            flows: 12 + rng.gen_range(19) as usize, // 12..=30
+            mean_flow_bytes: 30_000,
+            horizon: Time::from_ms(1),
+        },
         // 32 bits so the seed survives a JSON f64 round-trip exactly.
         seed: rng.next_u64() & 0xFFFF_FFFF,
-        horizon: Time::from_ms(1),
-        deadline: Time::from_secs(20),
+        ..ExperimentCfg::default()
     };
 
     let n_links = 2 * hosts as u64;
@@ -348,9 +351,9 @@ pub fn shrink(sc: &Scenario, fails: &mut dyn FnMut(&Scenario) -> bool) -> Scenar
             }
         }
         // Shrink the background workload too.
-        if cur.base.flows > 1 {
-            let mut cand = cur.clone();
-            cand.base.flows /= 2;
+        let mut cand = cur.clone();
+        if let WorkloadCfg::Background { flows: flows @ 2.., .. } = &mut cand.base.workload {
+            *flows /= 2;
             improved |= try_cand(&mut cur, cand, &mut evals);
         }
         if !improved || evals >= MAX_EVALS {
@@ -433,7 +436,7 @@ mod tests {
             let b = gen_scenario(0xC4A0_5EED, seed, 6);
             assert_eq!(a, b, "seed {seed} must regenerate identically");
             assert!(!a.steps.is_empty());
-            assert!(a.base.hosts >= 4);
+            assert!(a.base.topology.hosts() >= 4);
             // Every generated scenario round-trips through the DSL.
             let text = scenario_to_json5(&a);
             let back = crate::scenario::parse_scenario(

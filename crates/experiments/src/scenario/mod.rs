@@ -1,21 +1,21 @@
 //! Timed-scenario DSL, named chaos library, and seeded scenario fuzzer.
 //!
-//! A *scenario* is a small declarative chaos experiment: a base
-//! single-switch workload plus an ordered list of timed steps, each
-//! mutating link conditions, AQM parameters, link rates, topology
-//! (admin up/down, switch drains) or the traffic mix. Scenario files
-//! are written in the JSON5 dialect of [`crate::json`] with duration
-//! strings (`"500ms"`, `"2s"`) resolved to picosecond [`Time`] values,
-//! and compile down to [`tcn_net::NetMutation`]s scheduled on the
-//! simulator's calendar queue — so a step lands with exactly the same
-//! determinism guarantees as any packet event.
+//! A *scenario* is the one run document: a base run description
+//! ([`ExperimentCfg`]: any topology, port, transport and workload) plus
+//! an ordered list of timed steps, each mutating link conditions, AQM
+//! parameters, link rates, topology (admin up/down, switch drains) or
+//! the traffic mix. `tcnsim` and `figs scenario` both read it. Scenario
+//! files are written in the JSON5 dialect of [`crate::json`] with
+//! duration strings (`"500ms"`, `"2s"`) resolved to picosecond [`Time`]
+//! values, and compile down to [`tcn_net::NetMutation`]s scheduled on
+//! the simulator's calendar queue — so a step lands with exactly the
+//! same determinism guarantees as any packet event.
 //!
 //! The pieces:
 //!
 //! * [`parse`] — `Json` → [`Scenario`] (and back, for quarantine
-//!   repros); the port, durations and fault knobs are spelled by
-//!   [`crate::vocab`], as in `tcnsim` configs;
-//! * [`engine`] — builds the sim, expands loops, schedules the steps,
+//!   repros); the `base` is read by [`ExperimentCfg::from_value`];
+//! * [`engine`] — builds the base, expands loops, schedules the steps,
 //!   runs to completion under the audit invariants, and reports;
 //! * [`library`] — the 15+ named scenarios embedded from `scenarios/`,
 //!   runnable via `figs scenario <id>`;
@@ -34,8 +34,7 @@ pub use fuzz::{run_fuzz, shrink, FuzzOpts, FuzzReport};
 pub use library::{find, load, nearest, NamedScenario, LIBRARY};
 pub use parse::{parse_scenario, scenario_to_json5};
 
-use crate::common::{SchedKind, Scheme};
-use crate::vocab::PortPolicy;
+use crate::config::ExperimentCfg;
 use tcn_net::Cc;
 use tcn_sim::{LinkFaultProfile, Time};
 
@@ -48,34 +47,15 @@ pub struct Scenario {
     pub about: String,
     /// Free-form tags for `figs scenario list --tag <t>` filtering.
     pub tags: Vec<String>,
-    /// The base workload the steps perturb.
-    pub base: BaseConfig,
+    /// The run the steps perturb.
+    pub base: ExperimentCfg,
     /// How many times the step list repeats (`loop_scenario` in files).
     pub loops: u32,
-    /// Offset between loop iterations (defaults to the traffic horizon).
+    /// Offset between loop iterations (defaults to a background
+    /// workload's horizon, else zero).
     pub period: Time,
     /// The ordered timed steps.
     pub steps: Vec<Step>,
-}
-
-/// The base single-switch workload a scenario runs against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaseConfig {
-    /// Hosts around the switch (the switch is node `hosts`).
-    pub hosts: usize,
-    /// The switch egress ports' policy (`queues`, `buffer`, `sched`,
-    /// `scheme`, flat in a file's `base`).
-    pub port: PortPolicy,
-    /// Background flows generated over the horizon.
-    pub flows: usize,
-    /// Mean background flow size, bytes (exponential sizes).
-    pub mean_flow_bytes: u64,
-    /// Master seed for traffic generation.
-    pub seed: u64,
-    /// Background flow start times are uniform in `[0, horizon)`.
-    pub horizon: Time,
-    /// Completion deadline: all flows must finish by here.
-    pub deadline: Time,
 }
 
 /// One timed step of a scenario.
@@ -89,13 +69,14 @@ pub struct Step {
     pub change: StepMutation,
 }
 
-/// Which link(s) of the single-switch star a step targets.
+/// Which link(s) a step targets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkSel {
-    /// Every switch egress (downlink) port.
+    /// Every switch egress port: every link except the host NICs
+    /// (host `h`'s NIC is link `2h` in every topology, so on the star
+    /// these are the downlinks `2h + 1`).
     All,
-    /// One link by raw link index (host `h` uplink = `2h`,
-    /// downlink = `2h + 1`).
+    /// One link by raw link index.
     One(u32),
 }
 
@@ -133,8 +114,9 @@ pub enum StepMutation {
         /// New rate in Mbit/s (must be positive).
         mbps: u64,
     },
-    /// `step:drain` — administratively drain every egress queue of the
-    /// switch, discarding the backlog (a rolling-upgrade reboot).
+    /// `step:drain` — administratively drain every egress queue of node
+    /// `hosts` (the star's switch; leaf 0 or edge 0 of a fabric),
+    /// discarding the backlog (a rolling-upgrade reboot).
     Drain,
     /// `step:aqm-tcn` — retune the TCN sojourn-time threshold on a
     /// TCN-family port.
@@ -198,27 +180,6 @@ impl StepMutation {
             StepMutation::AqmCodel { .. } => "aqm-codel",
             StepMutation::CcSwitch { .. } => "cc-switch",
             StepMutation::Burst { .. } => "burst",
-        }
-    }
-}
-
-impl Default for BaseConfig {
-    fn default() -> Self {
-        BaseConfig {
-            hosts: 8,
-            port: PortPolicy {
-                queues: 2,
-                buffer: 96_000,
-                sched: SchedKind::Dwrr { quantum: 1500 },
-                scheme: Scheme::Tcn {
-                    threshold: Time::from_us(256),
-                },
-            },
-            flows: 60,
-            mean_flow_bytes: 50_000,
-            seed: 1,
-            horizon: Time::from_ms(2),
-            deadline: Time::from_secs(20),
         }
     }
 }

@@ -1,19 +1,22 @@
 //! `Json` → [`Scenario`] (and back).
 //!
-//! Scenario files spell the port, every duration and the fault knobs
-//! the way `tcnsim` configs do, through [`crate::vocab`]: a duration is
-//! a string — `"500ms"`, `"2s"`, `"90us"` — resolved to a picosecond
-//! [`Time`] with checked arithmetic, so a typo'd `"999999999m"` is a
-//! parse error instead of a silent wrap. Field checking is strict: an
-//! unknown key anywhere in the document names itself in the error, so
-//! a misspelled knob cannot be silently ignored.
+//! The `base` is an [`ExperimentCfg`], read and written by its own
+//! impls; the port, every duration and the fault knobs are spelled
+//! through [`crate::vocab`]: a duration is a string — `"500ms"`,
+//! `"2s"`, `"90us"` — resolved to a picosecond [`Time`] with checked
+//! arithmetic, so a typo'd `"999999999m"` is a parse error instead of a
+//! silent wrap. Field checking is strict: an unknown key anywhere in
+//! the document names itself in the error, so a misspelled knob cannot
+//! be silently ignored.
 
-use super::{BaseConfig, LinkSel, Scenario, Step, StepMutation};
-use crate::json::Json;
+use super::{LinkSel, Scenario, Step, StepMutation};
+use crate::config::{ExperimentCfg, WorkloadCfg};
+use crate::json::{Json, ToJson};
 use crate::vocab::{
     check_keys, duration_field, duration_json, fault_profile, fault_profile_fields, field,
-    PortPolicy, FAULT_KEYS,
+    FAULT_KEYS,
 };
+use tcn_sim::Time;
 
 fn opt_str(v: &Json, key: &str, default: &str) -> Result<String, String> {
     match v.get(key) {
@@ -27,7 +30,7 @@ fn opt_int<T: TryFrom<u64>>(v: &Json, key: &str, default: T) -> Result<T, String
     field(v, key, Some(default), |_| v.int_field(key))
 }
 
-/// `link: 3` or `link: "all"` (default: every switch downlink).
+/// `link: 3` or `link: "all"` (default: every switch egress port).
 fn link_sel(v: &Json) -> Result<LinkSel, String> {
     match v.get("link") {
         None => Ok(LinkSel::All),
@@ -35,34 +38,6 @@ fn link_sel(v: &Json) -> Result<LinkSel, String> {
         Some(j) if j.as_u64().is_some() => v.int_field("link").map(LinkSel::One),
         Some(_) => Err("field `link` must be a link index or \"all\"".to_string()),
     }
-}
-
-/// A raw link index (required, numeric).
-fn link_index(v: &Json) -> Result<u32, String> {
-    v.int_field("link")
-}
-
-fn parse_base(v: Option<&Json>) -> Result<BaseConfig, String> {
-    let d = BaseConfig::default();
-    let Some(v) = v else { return Ok(d) };
-    let own = ["hosts", "flows", "mean_flow_bytes", "seed", "horizon", "deadline"];
-    check_keys(v, &[&own[..], &PortPolicy::KEYS].concat(), "base")?;
-    let base = BaseConfig {
-        hosts: opt_int(v, "hosts", d.hosts)?,
-        port: PortPolicy::from_json(v, "base", Some(d.port))?,
-        flows: opt_int(v, "flows", d.flows)?,
-        mean_flow_bytes: opt_int(v, "mean_flow_bytes", d.mean_flow_bytes)?,
-        seed: opt_int(v, "seed", d.seed)?,
-        horizon: duration_field(v, "horizon", Some(d.horizon))?,
-        deadline: duration_field(v, "deadline", Some(d.deadline))?,
-    };
-    if base.hosts < 2 {
-        return Err("base: a single-switch star needs at least 2 hosts".to_string());
-    }
-    if base.mean_flow_bytes == 0 {
-        return Err("base: mean_flow_bytes must be positive".to_string());
-    }
-    Ok(base)
 }
 
 fn parse_step(v: &Json, idx: usize) -> Result<Step, String> {
@@ -89,11 +64,11 @@ fn parse_mutation(v: &Json) -> Result<StepMutation, String> {
         }
         "link-down" => {
             check_keys(v, &["kind", "link"], "do")?;
-            Ok(StepMutation::LinkDown { link: link_index(v)? })
+            Ok(StepMutation::LinkDown { link: v.int_field("link")? })
         }
         "link-up" => {
             check_keys(v, &["kind", "link"], "do")?;
-            Ok(StepMutation::LinkUp { link: link_index(v)? })
+            Ok(StepMutation::LinkUp { link: v.int_field("link")? })
         }
         "link-rate" => {
             check_keys(v, &["kind", "link", "mbps"], "do")?;
@@ -186,12 +161,16 @@ pub fn parse_scenario(v: &Json) -> Result<Scenario, String> {
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
-    let base = parse_base(v.get("base"))?;
+    let base = field(v, "base", Some(ExperimentCfg::default()), ExperimentCfg::from_value)?;
     let loops: u32 = opt_int(v, "loop_scenario", 1)?;
     if loops == 0 {
         return Err("loop_scenario must be at least 1".to_string());
     }
-    let period = duration_field(v, "period", Some(base.horizon))?;
+    let horizon = match base.workload {
+        WorkloadCfg::Background { horizon, .. } => horizon,
+        _ => Time::ZERO,
+    };
+    let period = duration_field(v, "period", Some(horizon))?;
     if loops > 1 && period.is_zero() {
         return Err("a looping scenario needs a positive period".to_string());
     }
@@ -205,12 +184,12 @@ pub fn parse_scenario(v: &Json) -> Result<Scenario, String> {
             .map(|(i, s)| parse_step(s, i))
             .collect::<Result<Vec<_>, _>>()?,
     };
-    if base.flows == 0
+    if matches!(base.workload, WorkloadCfg::Background { flows: 0, .. })
         && !steps
             .iter()
             .any(|s| matches!(s.change, StepMutation::Burst { .. }))
     {
-        return Err("scenario has no traffic: zero base flows and no burst steps".to_string());
+        return Err("scenario has no traffic: zero background flows and no burst steps".to_string());
     }
     Ok(Scenario {
         id,
@@ -275,16 +254,6 @@ fn mutation_json(m: &StepMutation) -> Json {
 /// is inside the JSON5 subset) — the format quarantined fuzzer repros
 /// are written in, and the bytes [`parse_scenario`] reads back.
 pub fn scenario_to_json5(sc: &Scenario) -> String {
-    let b = &sc.base;
-    let mut base = vec![("hosts", Json::Num(b.hosts as f64))];
-    base.extend(b.port.fields());
-    base.extend([
-        ("flows", Json::Num(b.flows as f64)),
-        ("mean_flow_bytes", Json::Num(b.mean_flow_bytes as f64)),
-        ("seed", Json::Num(b.seed as f64)),
-        ("horizon", duration_json(b.horizon)),
-        ("deadline", duration_json(b.deadline)),
-    ]);
     let steps = sc
         .steps
         .iter()
@@ -303,7 +272,7 @@ pub fn scenario_to_json5(sc: &Scenario) -> String {
             "tags",
             Json::Arr(sc.tags.iter().map(|t| Json::Str(t.clone())).collect()),
         ),
-        ("base", Json::obj(base)),
+        ("base", sc.base.to_json()),
         ("loop_scenario", Json::Num(f64::from(sc.loops))),
         ("period", duration_json(sc.period)),
         ("steps", Json::Arr(steps)),
@@ -316,7 +285,6 @@ mod tests {
     use super::*;
     use crate::common::Scheme;
     use crate::vocab::parse_duration;
-    use tcn_sim::Time;
 
     #[test]
     fn duration_units_resolve_to_picoseconds() {
@@ -371,12 +339,13 @@ mod tests {
             about: "one incast against a retuned TCN port",
             tags: ["demo", "incast"],
             base: {
-                hosts: 4,
-                flows: 10,
+                topology: { kind: "single_switch", hosts: 4, rate_gbps: 1, delay: "25us" },
+                port: {
+                    scheme: { kind: "tcn", threshold: "100us" },
+                    sched: { kind: "dwrr", quantum: 3000 },
+                },
+                workload: { kind: "background", flows: 10, mean_flow_bytes: 50000, horizon: "1ms" },
                 seed: 42,
-                scheme: { kind: "tcn", threshold: "100us" },
-                sched: { kind: "dwrr", quantum: 3000 },
-                horizon: "1ms",
                 deadline: "5s",
             },
             steps: [
@@ -391,7 +360,7 @@ mod tests {
     fn full_scenario_parses() {
         let sc = parse_scenario(&Json::parse_json5(demo_source()).unwrap()).unwrap();
         assert_eq!(sc.id, "demo-burst");
-        assert_eq!(sc.base.hosts, 4);
+        assert_eq!(sc.base.topology.hosts(), 4);
         assert_eq!(sc.base.port.scheme, Scheme::Tcn { threshold: Time::from_us(100) });
         assert_eq!(sc.loops, 1);
         assert_eq!(sc.period, Time::from_ms(1), "period defaults to the horizon");
@@ -420,11 +389,11 @@ mod tests {
     /// simulator would `assert!` on is a parse error naming the field.
     #[test]
     fn one_queue_under_sp_dwrr_is_a_parse_error_naming_queues() {
-        let doc = r#"{ id: "x", base: { queues: 1, sched: { kind: "sp_dwrr", quantum: 1500 } } }"#;
+        let doc = r#"{ id: "x", base: { port: { queues: 1, sched: { kind: "sp_dwrr", quantum: 1500 } } } }"#;
         let err = parse_scenario(&Json::parse_json5(doc).unwrap()).expect_err("one queue under SP/DWRR");
-        assert!(err.starts_with("base.queues: the SP/DWRR scheduler needs at least 2"), "{err}");
+        assert!(err.starts_with("port.queues: the SP/DWRR scheduler needs at least 2"), "{err}");
         // MQ-ECN, the paper's main comparator, is a scenario scheme too.
-        let mq = r#"{ id: "x", base: { scheme: { kind: "mq_ecn", rtt_lambda: "85us" } } }"#;
+        let mq = r#"{ id: "x", base: { port: { scheme: { kind: "mq_ecn", rtt_lambda: "85us" } } } }"#;
         let sc = parse_scenario(&Json::parse_json5(mq).unwrap()).expect("MQ-ECN parses");
         assert_eq!(sc.base.port.scheme, Scheme::MqEcn { rtt_lambda: Time::from_us(85) });
     }
@@ -443,9 +412,16 @@ mod tests {
 
     #[test]
     fn degenerate_scenarios_are_rejected() {
-        let no_traffic = r#"{ id: "x", base: { flows: 0 } }"#;
+        let no_traffic = r#"{ id: "x", base: { workload:
+            { kind: "background", flows: 0, mean_flow_bytes: 50000, horizon: "2ms" } } }"#;
         let err = parse_scenario(&Json::parse_json5(no_traffic).unwrap()).unwrap_err();
         assert!(err.contains("no traffic"), "{err}");
+        // Sizes are clamped to [1500, 10 × mean]: a mean under 150 bytes
+        // would hand `clamp` an inverted range.
+        let tiny_flows = r#"{ id: "x", base: { workload:
+            { kind: "background", flows: 10, mean_flow_bytes: 100, horizon: "2ms" } } }"#;
+        let err = parse_scenario(&Json::parse_json5(tiny_flows).unwrap()).unwrap_err();
+        assert!(err.starts_with("workload.mean_flow_bytes: 100"), "{err}");
         let bad_loop = r#"{ id: "x", loop_scenario: 0 }"#;
         let err = parse_scenario(&Json::parse_json5(bad_loop).unwrap()).unwrap_err();
         assert!(err.contains("loop_scenario"), "{err}");

@@ -1,11 +1,10 @@
-//! The one vocabulary of run inputs. A `tcnsim` config
-//! ([`crate::config`]) and a scenario file ([`crate::scenario::parse`])
-//! spell four things the same way, because both read and write them
-//! through this module:
+//! The one vocabulary of run inputs. A scenario document's `base`
+//! ([`crate::config`]) and its steps ([`crate::scenario::parse`]) spell
+//! four things the same way, because both read and write them through
+//! this module:
 //!
 //! * **a switch port** — `queues`, `buffer`, `sched`, `scheme`
-//!   ([`PortPolicy`]); `tcnsim` nests the four keys under `port`,
-//!   scenario files keep them flat in `base`;
+//!   ([`PortPolicy`]), the keys of `base.port`;
 //! * **a duration** — a string of an integer count and a unit,
 //!   `"256us"` ([`parse_duration`]); byte counts are bare integers;
 //! * **a link-fault profile** — `loss`, `corrupt`, `jitter_prob`,
@@ -406,7 +405,7 @@ impl PortPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{example_json, ExperimentCfg};
+    use crate::config::example_json;
     use crate::scenario::{load, parse_scenario, scenario_to_json5, LIBRARY};
 
     /// Every shipped document goes read → write → read and comes back
@@ -421,8 +420,8 @@ mod tests {
             assert_eq!(back.as_ref(), Ok(&sc), "{}", named.id);
         }
         let example = example_json();
-        let cfg = ExperimentCfg::from_json(&example).expect("the example parses");
-        assert_eq!(cfg.to_json().pretty(), example, "the example is the writer's own output");
+        let sc = Json::parse_json5(&example).and_then(|v| parse_scenario(&v)).expect("the example parses");
+        assert_eq!(scenario_to_json5(&sc), example, "the example is the writer's own output");
 
         let t = Time::from_us;
         let scheds = [

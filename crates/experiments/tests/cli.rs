@@ -132,17 +132,26 @@ fn a_bad_file_is_exit_1_with_a_message_never_a_crash() {
     let dir = Scratch::new("badfile");
     let example = example_json();
     let prob = r#""kind": "tcn_prob", "t_min": "400us", "t_max": "300us", "p_max": 0.5"#;
-    let edits = [
+    let flaps = |windows: &str| format!(r#""faults": {{ "flaps": [{windows}] }}, "seed": 1"#);
+    let edits: [(&str, &str, &str); 12] = [
         ("\"receiver\": 8", "\"receiver\": 99", "invalid configuration: workload.receiver"),
         ("\"queues\": 4", "\"queues\": 0", "invalid configuration: port.queues"),
         ("\"load\": 0.6", "\"load\": 0", "invalid configuration: workload.load"),
         ("\"quantum\": 1500", "\"quantum\": 0", "invalid configuration: port.sched.quantum"),
-        ("\"kind\": \"tcn\",\n      \"threshold\": \"256us\"", prob, "invalid configuration: port.scheme.t_min"),
+        ("\"kind\": \"tcn\",\n        \"threshold\": \"256us\"", prob, "invalid configuration: port.scheme.t_min"),
         ("\"rate_gbps\": 1", "\"rate_gbps\": 0", "invalid configuration: topology.rate_gbps"),
         // Each of these used to run, as seed 1 or as a healthy fabric.
-        ("\"seed\": 1", "\"sede\": 7", "invalid configuration: config: unknown key `sede`"),
+        ("\"seed\": 1", "\"sede\": 7", "invalid configuration: base: unknown key `sede`"),
         ("\"seed\": 1", r#""faults": { "los": 0.05 }, "seed": 1"#, "invalid configuration: faults: unknown key `los`"),
         ("\"seed\": 1", r#""faults": { "loss": 2.0 }, "seed": 1"#, "invalid configuration: field `loss`"),
+        // Each of these used to panic (exit 101) or, overlapping, run.
+        ("\"seed\": 1", &flaps(r#"{ "link": 9999, "down_at": "1ms" }"#), "invalid configuration: faults.flaps: flap on unknown link 9999"),
+        ("\"seed\": 1", &flaps(r#"{ "link": 0, "down_at": "2ms", "up_at": "1ms" }"#), "invalid configuration: faults.flaps: flap window on link 0 is empty or inverted"),
+        (
+            "\"seed\": 1",
+            &flaps(r#"{ "link": 0, "down_at": "1ms", "up_at": "3ms" }, { "link": 0, "down_at": "2ms", "up_at": "4ms" }"#),
+            "invalid configuration: faults.flaps: overlapping flap windows on link 0",
+        ),
     ];
     for (from, to, want) in edits {
         assert!(example.contains(from), "the example no longer contains `{from}`");

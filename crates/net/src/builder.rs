@@ -207,14 +207,11 @@ impl NetworkBuilder {
     ///
     /// # Errors
     /// [`TcnError::Config`] on malformed topology parameters or an
-    /// inconsistent fault plan (zero-length or overlapping flap windows
-    /// on the same link), and [`TcnError::Topology`] when the wiring
-    /// leaves some host pair unroutable, exactly as the underlying
-    /// [`crate::topology`] functions report them.
+    /// inconsistent fault plan ([`FaultPlan::check_flaps`]), and
+    /// [`TcnError::Topology`] when the wiring leaves some host pair
+    /// unroutable, exactly as the underlying [`crate::topology`]
+    /// functions report them.
     pub fn build(self) -> Result<NetworkSim, TcnError> {
-        if let Some(plan) = &self.faults {
-            validate_flap_windows(plan)?;
-        }
         let mk_port: Box<dyn Fn() -> PortSetup> = match self.port_factory {
             Some(f) => f,
             None => {
@@ -264,6 +261,7 @@ impl NetworkBuilder {
             } => NetworkSim::new(num_nodes, hosts, links, self.tcp, self.tagging)?,
         };
         if let Some(plan) = &self.faults {
+            plan.check_flaps(sim.num_links()).map_err(TcnError::config)?;
             sim.install_faults(plan);
         }
         if let Some(bus) = &self.telemetry {
@@ -274,49 +272,6 @@ impl NetworkBuilder {
         }
         Ok(sim)
     }
-}
-
-/// Reject fault plans whose flap schedule is self-contradictory: a
-/// window that ends at or before it starts, or two windows on the same
-/// link that overlap (the link would have to be down twice at once).
-/// A window with `up_at: None` extends to the end of the run.
-fn validate_flap_windows(plan: &FaultPlan) -> Result<(), TcnError> {
-    let mut by_link: std::collections::BTreeMap<u32, Vec<(Time, Option<Time>)>> =
-        std::collections::BTreeMap::new();
-    for flap in &plan.flaps {
-        if let Some(up) = flap.up_at {
-            if up <= flap.down_at {
-                return Err(TcnError::config(format!(
-                    "flap window on link {} is empty or inverted: down at {:?}, up at {up:?}",
-                    flap.link, flap.down_at
-                )));
-            }
-        }
-        by_link
-            .entry(flap.link)
-            .or_default()
-            .push((flap.down_at, flap.up_at));
-    }
-    for (link, mut windows) in by_link {
-        windows.sort_by_key(|&(down, _)| down);
-        for pair in windows.windows(2) {
-            let (prev_down, prev_up) = pair[0];
-            let (next_down, _) = pair[1];
-            // A window that never ends overlaps everything after it.
-            let overlaps = match prev_up {
-                Some(up) => next_down < up,
-                None => true,
-            };
-            if overlaps {
-                let end = prev_up.map_or_else(|| "forever".to_string(), |t| format!("{t:?}"));
-                return Err(TcnError::config(format!(
-                    "overlapping flap windows on link {link}: [{prev_down:?}, {end}) and one \
-                     starting at {next_down:?}"
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

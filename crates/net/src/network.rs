@@ -84,7 +84,7 @@ impl TransportChoice {
 }
 
 /// How hosts stamp DSCP values onto outgoing data packets.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaggingPolicy {
     /// `dscp = service` for every packet (inter-service isolation,
     /// §6.1.2).
@@ -971,11 +971,6 @@ impl NetworkSim {
         self.flows.iter().map(|f| f.sender.timeouts()).sum()
     }
 
-    /// The spec a flow was registered with.
-    pub fn flow_spec(&self, flow: FlowId) -> FlowSpec {
-        self.flows[flow.0 as usize].spec
-    }
-
     /// RTO expiries of one flow's sender.
     pub fn flow_timeouts(&self, flow: FlowId) -> u64 {
         self.flows[flow.0 as usize].sender.timeouts()
@@ -990,12 +985,6 @@ impl NetworkSim {
     /// (reflects any mid-run [`NetMutation::CcSwitch`]).
     pub fn flow_cc(&self, flow: FlowId) -> Cc {
         self.flows[flow.0 as usize].sender.cc_kind()
-    }
-
-    /// The current congestion-control phase name of `flow`'s sender
-    /// (e.g. `"slow-start"`, `"probe-bw"`).
-    pub fn flow_cc_state(&self, flow: FlowId) -> &'static str {
-        self.flows[flow.0 as usize].sender.cc_state()
     }
 
     /// The ECN path-validation verdict of `flow`'s sender.

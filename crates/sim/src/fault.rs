@@ -197,6 +197,55 @@ impl FaultPlan {
         Rng::stream(self.seed, u64::from(link))
     }
 
+    /// Check the flap schedule against a network of `num_links` links:
+    /// every flap names a link that exists, no window ends at or before
+    /// it starts, and no two windows on one link overlap (the link would
+    /// have to be down twice at once). A window with `up_at: None`
+    /// extends to the end of the run.
+    ///
+    /// # Errors
+    /// A message naming the link and the offending window.
+    pub fn check_flaps(&self, num_links: usize) -> Result<(), String> {
+        let mut by_link: std::collections::BTreeMap<u32, Vec<(Time, Option<Time>)>> =
+            std::collections::BTreeMap::new();
+        for flap in &self.flaps {
+            if flap.link as usize >= num_links {
+                return Err(format!(
+                    "flap on unknown link {} ({num_links} links exist)",
+                    flap.link
+                ));
+            }
+            if let Some(up) = flap.up_at {
+                if up <= flap.down_at {
+                    return Err(format!(
+                        "flap window on link {} is empty or inverted: down at {:?}, up at {up:?}",
+                        flap.link, flap.down_at
+                    ));
+                }
+            }
+            by_link
+                .entry(flap.link)
+                .or_default()
+                .push((flap.down_at, flap.up_at));
+        }
+        for (link, mut windows) in by_link {
+            windows.sort_by_key(|&(down, _)| down);
+            for pair in windows.windows(2) {
+                let (prev_down, prev_up) = pair[0];
+                let (next_down, _) = pair[1];
+                // A window that never ends overlaps everything after it.
+                if prev_up.is_none_or(|up| next_down < up) {
+                    let end = prev_up.map_or_else(|| "forever".to_string(), |t| format!("{t:?}"));
+                    return Err(format!(
+                        "overlapping flap windows on link {link}: [{prev_down:?}, {end}) and one \
+                         starting at {next_down:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// True when the plan can never inject anything: every effective
     /// profile is quiet and there are no flaps.
     pub fn is_quiet(&self) -> bool {

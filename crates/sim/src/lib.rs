@@ -22,10 +22,6 @@
 //! * [`FaultPlan`] — seeded, deterministic fault-injection schedules
 //!   (loss, corruption, jitter, link flaps) with per-link RNG stream
 //!   isolation, threaded through the network layer.
-//! * [`SimBuilder`] — fluent construction of an engine with a
-//!   `tcn_telemetry` bus installed: sampled event-loop ticks, and an
-//!   epoch reset on `clear()` so reused engines never report stale
-//!   series.
 //!
 //! The engine is intentionally single-threaded *per simulation*: the
 //! simulated systems are CPU-bound state machines, and a deterministic
@@ -39,14 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod engine;
 pub mod ewma;
 pub mod fault;
 pub mod rng;
 pub mod time;
 
-pub use builder::SimBuilder;
 pub use engine::{EventEntry, EventQueue, QueueStats};
 pub use ewma::Ewma;
 pub use fault::{FaultKind, FaultPlan, LinkFaultProfile, LinkFlap};

@@ -260,12 +260,6 @@ impl Rate {
         Rate(bps)
     }
 
-    /// Construct from kilobits per second (10^3 b/s).
-    #[inline]
-    pub const fn from_kbps(kbps: u64) -> Self {
-        Rate(kbps * 1_000)
-    }
-
     /// Construct from megabits per second (10^6 b/s).
     #[inline]
     pub const fn from_mbps(mbps: u64) -> Self {
@@ -288,12 +282,6 @@ impl Rate {
     #[inline]
     pub fn as_gbps_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Rate in Mb/s as a float (for reporting).
-    #[inline]
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Time to serialize `bytes` bytes at this rate, rounded up to the

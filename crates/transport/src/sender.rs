@@ -111,34 +111,11 @@ impl TcpConfig {
         self
     }
 
-    /// The paper's simulation configuration for DCTCP.
-    #[deprecated(note = "use `TcpConfig::preset(Cc::Dctcp).sim()`")]
-    pub fn sim_dctcp() -> Self {
-        TcpConfig::preset(Cc::Dctcp).sim()
-    }
-
-    /// The paper's simulation configuration for ECN\*.
-    #[deprecated(note = "use `TcpConfig::preset(Cc::EcnStar).sim()`")]
-    pub fn sim_ecn_star() -> Self {
-        TcpConfig::preset(Cc::EcnStar).sim()
-    }
-
-    /// The paper's testbed configuration (DCTCP).
-    #[deprecated(note = "use `TcpConfig::preset(Cc::Dctcp).testbed()`")]
-    pub fn testbed_dctcp() -> Self {
-        TcpConfig::preset(Cc::Dctcp).testbed()
-    }
-
     /// λ for the standard threshold formulas: 1 for ECN\*; for DCTCP the
     /// paper configures thresholds empirically (we expose 1.0 as well —
     /// experiments pass their own λ).
     pub fn lambda(&self) -> f64 {
         1.0
-    }
-
-    /// Full wire size of a segment carrying `payload` bytes.
-    pub fn wire_size(&self, payload: u32) -> u32 {
-        payload + self.header
     }
 }
 
@@ -660,18 +637,6 @@ mod tests {
         let total: u32 = out.packets.iter().map(|p| p.payload_len()).sum();
         assert_eq!(u64::from(total), 3000);
         assert_eq!(out.packets[2].payload_len(), 80); // 3000 - 2*1460
-    }
-
-    #[test]
-    fn deprecated_presets_still_build() {
-        #[allow(deprecated)]
-        let cfg = TcpConfig::sim_dctcp();
-        assert_eq!(cfg.cc, Cc::Dctcp);
-        assert_eq!(cfg.init_cwnd, 16);
-        #[allow(deprecated)]
-        let cfg = TcpConfig::testbed_dctcp();
-        assert_eq!(cfg.init_cwnd, 10);
-        assert_eq!(cfg.rto_min, Time::from_ms(10));
     }
 
     #[test]

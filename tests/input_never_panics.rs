@@ -1,6 +1,6 @@
 //! No file a user can hand the program may take it down: every
-//! user-supplied text format — scenario files, `tcnsim` configs,
-//! checkpoint lines, trace lines — is mutated byte-wise from a seeded
+//! user-supplied text format — scenario documents (which `tcnsim` also
+//! reads), checkpoint lines, trace lines — is mutated byte-wise from a seeded
 //! `Rng` and pushed through the one JSON reader and then its typed
 //! reader. Each input must come back `Ok` or `Err`; a panic (a failed
 //! `assert!`, an arithmetic overflow under the test profile's overflow
@@ -12,7 +12,7 @@
 use std::panic::catch_unwind;
 
 use tcn_experiments::checkpoint::{parse_done, Checkpoint};
-use tcn_experiments::config::{example_json, ExperimentCfg};
+use tcn_experiments::config::example_json;
 use tcn_experiments::fct_sweep::SweepCell;
 use tcn_experiments::json::Json;
 use tcn_experiments::scenario::{parse_scenario, LIBRARY};
@@ -77,10 +77,6 @@ fn read_scenario(text: &str) -> bool {
     Json::parse_json5(text).and_then(|v| parse_scenario(&v)).is_ok()
 }
 
-fn read_config(text: &str) -> bool {
-    ExperimentCfg::from_json(text).is_ok()
-}
-
 fn read_checkpoint(text: &str) -> bool {
     parse_done(text, CKPT_HASH, CKPT_CELLS)
         .is_some_and(|done| done.values().all(|(_, payload)| SweepCell::from_json(payload).is_ok()))
@@ -96,7 +92,7 @@ fn mutated_input_files_are_ok_or_err_never_a_panic() {
         .iter()
         .map(|n| (format!("scenarios/{}.json5", n.id), n.source.to_string(), read_scenario as Reader))
         .collect();
-    docs.push(("tcnsim --example".into(), example_json(), read_config));
+    docs.push(("tcnsim --example".into(), example_json(), read_scenario));
     docs.push(("checkpoint".into(), checkpoint_text(), read_checkpoint));
     docs.push(("trace".into(), trace_text(), read_trace));
     assert_eq!(docs.len(), 20);
