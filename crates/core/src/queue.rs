@@ -13,6 +13,9 @@ use crate::packet::Packet;
 pub struct PacketQueue {
     fifo: VecDeque<Packet>,
     bytes: u64,
+    /// Mutations left before the audit's next recount (see
+    /// `audit_accounting`; untouched unless auditing is active).
+    audit_countdown: usize,
 }
 
 impl PacketQueue {
@@ -64,13 +67,22 @@ impl PacketQueue {
     }
 
     /// Cross-check the O(1) byte counter against a full recount of the
-    /// FIFO. A no-op (inlined away) unless auditing is active; O(n) per
-    /// mutation when it is.
+    /// FIFO. A no-op (inlined away) unless auditing is active. When it
+    /// is, the recount runs whenever the queue empties and otherwise
+    /// once every `len` mutations, counted from the length at the last
+    /// recount: amortized O(1) per mutation. The countdown never exceeds
+    /// the current length, so a divergence is caught within one queue
+    /// length of mutations.
     #[inline]
-    fn audit_accounting(&self) {
+    fn audit_accounting(&mut self) {
         if !tcn_audit::active() {
             return;
         }
+        self.audit_countdown = self.audit_countdown.saturating_sub(1);
+        if self.audit_countdown > 0 && !self.fifo.is_empty() {
+            return;
+        }
+        self.audit_countdown = self.fifo.len();
         let recount: u64 = self.fifo.iter().map(|p| u64::from(p.size)).sum();
         assert_eq!(
             self.bytes, recount,
@@ -109,6 +121,7 @@ impl PacketQueue {
         let freed = self.bytes;
         self.fifo.clear();
         self.bytes = 0;
+        self.audit_countdown = 0;
         freed
     }
 
@@ -191,6 +204,28 @@ mod tests {
         assert_eq!(revoked.size, 500);
         assert_eq!(q.len_bytes(), 1000);
         assert_eq!(q.len_pkts(), 1);
+    }
+
+    #[test]
+    fn audit_catches_a_corrupt_byte_counter_within_one_queue_length() {
+        if !tcn_audit::active() {
+            return;
+        }
+        let mut q = PacketQueue::new();
+        for _ in 0..1000 {
+            q.push_back(pkt(100));
+        }
+        q.bytes += 1;
+        // Pushes only: the queue grows past every length the audit saw.
+        let len = q.len_pkts();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for _ in 0..=len {
+                q.push_back(pkt(100));
+            }
+        }));
+        let err = caught.expect_err("corrupt byte counter went unnoticed");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("diverged from recount"), "{msg}");
     }
 
     #[test]

@@ -697,10 +697,11 @@ mod tests {
         );
     }
 
-    // The three leaf-spine tests below cost what their largest flow
-    // costs, not what their flow count does (DESIGN §7.7): seed 1's
-    // flow set draws a ~0.9 GB data-mining flow somewhere between flow
-    // 60 and flow 70, and every size past it pays for it.
+    // The three leaf-spine tests below were sized when the queue audit
+    // recounted a whole FIFO on every push and pop (DESIGN §7.7): seed
+    // 1's flow set draws a ~0.9 GB data-mining flow somewhere between
+    // flow 60 and flow 70, whose host NIC queue made every size past it
+    // cost minutes. The audit is amortized O(1) now.
 
     /// The paper's shape needs congestion, so this one keeps its 600
     /// flows (TCN's small-flow avg is 12 % under RED's here; at 60 flows
@@ -796,7 +797,7 @@ mod tests {
             traced.to_json().pretty(),
             "telemetry observed the run but changed its output"
         );
-        assert!(mem.len() > 0, "traced run must actually emit events");
+        assert!(!mem.is_empty(), "traced run must actually emit events");
     }
 
     #[test]

@@ -334,7 +334,8 @@ mod tests {
         assert!(stats.events > 0);
 
         // Rebuild (port, queue) -> (count, sum, max, samples) offline.
-        let mut offline: Vec<((u64, u64), (u64, u64, u64, Vec<f64>))> = Vec::new();
+        type QueueTally = ((u64, u64), (u64, u64, u64, Vec<f64>));
+        let mut offline: Vec<QueueTally> = Vec::new();
         for line in std::str::from_utf8(&bytes).unwrap().lines() {
             let v = Json::parse(line).unwrap();
             if v.kind().unwrap() != "dequeue" {

@@ -91,7 +91,7 @@ pub fn duration_json(t: Time) -> Json {
         (PS_PER_MS, "ms"),
         (PS_PER_US, "us"),
     ] {
-        if ps % per == 0 {
+        if ps.is_multiple_of(per) {
             return Json::Str(format!("{}{unit}", ps / per));
         }
     }

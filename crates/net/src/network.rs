@@ -26,7 +26,9 @@ use tcn_core::{
     TcnError,
 };
 use tcn_sim::{EventEntry, EventQueue, FaultPlan, LinkFaultProfile, QueueStats, Rate, Rng, Time};
-use tcn_transport::{Cc, SenderOutput, TcpConfig, TcpReceiver, TcpSender};
+use tcn_transport::{
+    ack_for, Cc, EcnPathState, EcnValidator, SenderOutput, TcpConfig, TcpReceiver, TcpSender,
+};
 
 use crate::port::{Port, PortSetup};
 use crate::routing::{
@@ -264,14 +266,75 @@ impl FaultStats {
     }
 }
 
+/// One flow's record, kept for the whole run. Its transport endpoints
+/// live in [`NetworkSim`]'s endpoint slab only while the flow is live
+/// (DESIGN §7.2).
 struct FlowState {
     spec: FlowSpec,
-    sender: TcpSender,
-    receiver: TcpReceiver,
+    tcp: TcpConfig,
     finish: Option<Time>,
     /// Earliest pending Timer event for this flow, to keep at most one
     /// outstanding timer in the event queue.
     next_timer: Option<Time>,
+    ends: Ends,
+}
+
+/// Where a flow's sender and receiver are.
+#[derive(Clone, Copy)]
+enum Ends {
+    /// Not built: no event has touched the flow yet.
+    Pending,
+    /// Built, at this index of the endpoint slab.
+    Live(u32),
+    /// Released when the sender saw its last byte acknowledged; the
+    /// flow now answers from this summary and its spec alone.
+    Closed(SenderSummary),
+}
+
+/// What the accessors report of a flow's sender: its counters, its
+/// controller and its ECN path verdict.
+#[derive(Clone, Copy)]
+struct SenderSummary {
+    timeouts: u64,
+    fast_retransmits: u64,
+    ecn_reductions: u64,
+    rtx_packets: u64,
+    rtx_bytes: u64,
+    cc: Cc,
+    ecn_path: EcnPathState,
+}
+
+impl SenderSummary {
+    fn of(s: &TcpSender) -> Self {
+        SenderSummary {
+            timeouts: s.timeouts(),
+            fast_retransmits: s.fast_retransmits(),
+            ecn_reductions: s.ecn_reductions(),
+            rtx_packets: s.rtx_packets(),
+            rtx_bytes: s.rtx_bytes(),
+            cc: s.cc_kind(),
+            ecn_path: s.ecn_path_state(),
+        }
+    }
+
+    /// What a sender built from `tcp` reports before it has run.
+    fn unstarted(tcp: &TcpConfig) -> Self {
+        SenderSummary {
+            timeouts: 0,
+            fast_retransmits: 0,
+            ecn_reductions: 0,
+            rtx_packets: 0,
+            rtx_bytes: 0,
+            cc: tcp.cc,
+            ecn_path: EcnValidator::new(tcp.ecn_validation, tcp.mss).state(),
+        }
+    }
+}
+
+/// A live flow's transport state: one slot of the endpoint slab.
+struct Endpoints {
+    sender: TcpSender,
+    receiver: TcpReceiver,
 }
 
 /// A runtime reconfiguration applied to a live simulation at a
@@ -417,6 +480,12 @@ pub struct NetworkSim {
     /// `(from, to)` per link, kept for routing reconvergence.
     topo_endpoints: Vec<(u32, u32)>,
     flows: Vec<FlowState>,
+    /// Endpoint slab: the sender/receiver pairs of live flows
+    /// ([`Ends::Live`] indexes it). Released slots recycle LIFO through
+    /// `free_ends`, so the slab stops growing at the most flows ever
+    /// live at once.
+    ends: Vec<Endpoints>,
+    free_ends: Vec<u32>,
     tcp: TcpConfig,
     tagging: TaggingPolicy,
     probers: Vec<Prober>,
@@ -516,6 +585,8 @@ impl NetworkSim {
             node_hosts,
             topo_endpoints: endpoints,
             flows: Vec::new(),
+            ends: Vec::new(),
+            free_ends: Vec::new(),
             tcp,
             tagging,
             probers: Vec::new(),
@@ -575,8 +646,8 @@ impl NetworkSim {
         for (i, l) in self.links.iter_mut().enumerate() {
             l.port.set_probe(bus.probe_for(i as u32));
         }
-        for f in &mut self.flows {
-            f.sender.set_probe(bus.probe());
+        for e in &mut self.ends {
+            e.sender.set_probe(bus.probe());
         }
         self.telemetry = Some(bus.clone());
     }
@@ -704,9 +775,11 @@ impl NetworkSim {
                 }
             }
             NetMutation::CcSwitch { service, cc } => {
-                for f in &mut self.flows {
-                    if f.spec.service == *service && f.finish.is_none() {
-                        f.sender.switch_cc(*cc, now);
+                for f in 0..self.flows.len() as u32 {
+                    let fs = &self.flows[f as usize];
+                    if fs.spec.service == *service && fs.finish.is_none() {
+                        let i = self.live_ends(f);
+                        self.ends[i].sender.switch_cc(*cc, now);
                     }
                 }
             }
@@ -763,29 +836,72 @@ impl NetworkSim {
     /// instead of the simulation-wide default — the mixed-tenant
     /// entry point (e.g. CUBIC and DCTCP sharing one fabric).
     ///
+    /// Only the flow's record is kept from here: its sender and receiver
+    /// are built by the first event that touches the flow and released
+    /// once its last byte is acknowledged.
+    ///
     /// # Panics
-    /// Panics if src == dst or host indices are out of range.
+    /// Panics if src == dst, host indices are out of range, the flow is
+    /// empty or the MSS is zero.
     pub fn add_flow_with(&mut self, spec: FlowSpec, tcp: TcpConfig) -> FlowId {
         assert!(spec.src != spec.dst, "self-flow");
         assert!((spec.src as usize) < self.host_nodes.len());
         assert!((spec.dst as usize) < self.host_nodes.len());
+        assert!(spec.size > 0, "zero-size flow");
+        assert!(tcp.mss > 0, "zero MSS");
         let id = FlowId(self.flows.len() as u64);
         assert!(id.0 < PROBE_FLOW_BASE, "too many flows");
-        let mut sender = TcpSender::new(tcp, id, spec.src, spec.dst, spec.size);
-        if let Some(bus) = &self.telemetry {
-            sender.set_probe(bus.probe());
-        }
-        let receiver = TcpReceiver::new(id, spec.dst, spec.src, spec.size);
         self.flows.push(FlowState {
             spec,
-            sender,
-            receiver,
+            tcp,
             finish: None,
             next_timer: None,
+            ends: Ends::Pending,
         });
         self.events
             .schedule_at(spec.start, Event::FlowStart(id.0 as u32));
         id
+    }
+
+    /// The slab index of `flow`'s endpoints, building them on the
+    /// flow's first touch (its start, or a `CcSwitch` before it).
+    fn live_ends(&mut self, flow: u32) -> usize {
+        let fs = &mut self.flows[flow as usize];
+        match fs.ends {
+            Ends::Live(i) => return i as usize,
+            Ends::Pending => {}
+            Ends::Closed(_) => unreachable!("flow {flow} touched after release"),
+        }
+        let (id, spec) = (FlowId(u64::from(flow)), fs.spec);
+        let mut sender = TcpSender::new(fs.tcp, id, spec.src, spec.dst, spec.size);
+        if let Some(bus) = &self.telemetry {
+            sender.set_probe(bus.probe());
+        }
+        let e = Endpoints {
+            sender,
+            receiver: TcpReceiver::new(id, spec.dst, spec.src, spec.size),
+        };
+        let i = match self.free_ends.pop() {
+            Some(i) => {
+                self.ends[i as usize] = e;
+                i
+            }
+            None => {
+                self.ends.push(e);
+                (self.ends.len() - 1) as u32
+            }
+        };
+        fs.ends = Ends::Live(i);
+        i as usize
+    }
+
+    /// What the accessors report of `f`'s sender, whatever its state.
+    fn summary(&self, f: &FlowState) -> SenderSummary {
+        match f.ends {
+            Ends::Pending => SenderSummary::unstarted(&f.tcp),
+            Ends::Live(i) => SenderSummary::of(&self.ends[i as usize].sender),
+            Ends::Closed(s) => s,
+        }
     }
 
     /// Register a periodic latency prober. Probes start at `cfg.start`
@@ -955,7 +1071,7 @@ impl NetworkSim {
                     spec: f.spec,
                     finish,
                     fct: finish - f.spec.start,
-                    timeouts: f.sender.timeouts(),
+                    timeouts: self.summary(f).timeouts,
                 })
             })
             .collect()
@@ -963,33 +1079,38 @@ impl NetworkSim {
 
     /// Bytes delivered (application-level, unique) for one flow.
     pub fn delivered_bytes(&self, flow: FlowId) -> u64 {
-        self.flows[flow.0 as usize].receiver.bytes_received()
+        let f = &self.flows[flow.0 as usize];
+        match f.ends {
+            Ends::Pending => 0,
+            Ends::Live(i) => self.ends[i as usize].receiver.bytes_received(),
+            Ends::Closed(_) => f.spec.size,
+        }
     }
 
     /// Sum of sender RTO expiries over all flows.
     pub fn total_timeouts(&self) -> u64 {
-        self.flows.iter().map(|f| f.sender.timeouts()).sum()
+        self.flows.iter().map(|f| self.summary(f).timeouts).sum()
     }
 
     /// RTO expiries of one flow's sender.
     pub fn flow_timeouts(&self, flow: FlowId) -> u64 {
-        self.flows[flow.0 as usize].sender.timeouts()
+        self.summary(&self.flows[flow.0 as usize]).timeouts
     }
 
     /// ECN-driven window reductions of one flow's sender.
     pub fn flow_ecn_reductions(&self, flow: FlowId) -> u64 {
-        self.flows[flow.0 as usize].sender.ecn_reductions()
+        self.summary(&self.flows[flow.0 as usize]).ecn_reductions
     }
 
     /// The congestion controller currently driving `flow`'s sender
     /// (reflects any mid-run [`NetMutation::CcSwitch`]).
     pub fn flow_cc(&self, flow: FlowId) -> Cc {
-        self.flows[flow.0 as usize].sender.cc_kind()
+        self.summary(&self.flows[flow.0 as usize]).cc
     }
 
     /// The ECN path-validation verdict of `flow`'s sender.
-    pub fn flow_ecn_path_state(&self, flow: FlowId) -> tcn_transport::EcnPathState {
-        self.flows[flow.0 as usize].sender.ecn_path_state()
+    pub fn flow_ecn_path_state(&self, flow: FlowId) -> EcnPathState {
+        self.summary(&self.flows[flow.0 as usize]).ecn_path
     }
 
     /// RTT samples collected by a prober: `(send_time, rtt)` pairs.
@@ -1024,6 +1145,13 @@ impl NetworkSim {
         self.arena.stats()
     }
 
+    /// Endpoint-slab high-water mark: the most flows whose sender and
+    /// receiver were held at once (the slab never shrinks, so this is
+    /// its length).
+    pub fn endpoint_high_water(&self) -> usize {
+        self.ends.len()
+    }
+
     /// Self-counters of the event queue: day steps, bucket allocations,
     /// overflow traffic and tier high-water marks.
     pub fn queue_stats(&self) -> QueueStats {
@@ -1037,22 +1165,27 @@ impl NetworkSim {
 
     /// Sum of retransmitted data packets over all senders.
     pub fn total_retransmitted_packets(&self) -> u64 {
-        self.flows.iter().map(|f| f.sender.rtx_packets()).sum()
+        self.flows.iter().map(|f| self.summary(f).rtx_packets).sum()
     }
 
     /// Sum of retransmitted data bytes over all senders.
     pub fn total_retransmitted_bytes(&self) -> u64 {
-        self.flows.iter().map(|f| f.sender.rtx_bytes()).sum()
+        self.flows.iter().map(|f| self.summary(f).rtx_bytes).sum()
     }
 
     /// Sum of fast-retransmit entries over all senders.
     pub fn total_fast_retransmits(&self) -> u64 {
-        self.flows.iter().map(|f| f.sender.fast_retransmits()).sum()
+        self.flows
+            .iter()
+            .map(|f| self.summary(f).fast_retransmits)
+            .sum()
     }
 
     /// Application-level (unique) bytes delivered across all flows.
     pub fn total_delivered_bytes(&self) -> u64 {
-        self.flows.iter().map(|f| f.receiver.bytes_received()).sum()
+        (0..self.flows.len() as u64)
+            .map(|f| self.delivered_bytes(FlowId(f)))
+            .sum()
     }
 
     // ------------------------------------------------------------------
@@ -1062,18 +1195,25 @@ impl NetworkSim {
     fn dispatch_event(&mut self, ev: Event, now: Time) -> Result<(), TcnError> {
         match ev {
             Event::FlowStart(f) => {
+                let i = self.live_ends(f);
                 let mut out = std::mem::take(&mut self.scratch);
                 out.clear();
-                self.flows[f as usize].sender.start_into(now, &mut out);
+                self.ends[i].sender.start_into(now, &mut out);
                 let r = self.after_sender(f, &mut out, now);
                 self.scratch = out;
                 r?;
             }
             Event::Timer { flow } => {
-                self.flows[flow as usize].next_timer = None;
+                let fs = &mut self.flows[flow as usize];
+                fs.next_timer = None;
+                // A released flow's timer is stale: its sender is done,
+                // would ignore it and arm nothing.
+                let Ends::Live(i) = fs.ends else {
+                    return Ok(());
+                };
                 let mut out = std::mem::take(&mut self.scratch);
                 out.clear();
-                self.flows[flow as usize].sender.on_timer_into(now, &mut out);
+                self.ends[i as usize].sender.on_timer_into(now, &mut out);
                 let r = self.after_sender(flow, &mut out, now);
                 self.scratch = out;
                 r?;
@@ -1299,21 +1439,44 @@ impl NetworkSim {
         assert_eq!(pkt.dst, host, "misrouted packet (routing bug)");
         match pkt.kind {
             PacketKind::Data { .. } => {
-                let f = pkt.flow.0 as usize;
-                let ack = self.flows[f].receiver.on_data(&pkt, now)?;
-                if self.flows[f].finish.is_none() && self.flows[f].receiver.is_complete() {
-                    self.flows[f].finish = Some(now);
-                    self.completed += 1;
-                }
+                let fs = &mut self.flows[pkt.flow.0 as usize];
+                let ack = match fs.ends {
+                    Ends::Live(i) => {
+                        let receiver = &mut self.ends[i as usize].receiver;
+                        let ack = receiver.on_data(&pkt, now)?;
+                        if fs.finish.is_none() && receiver.is_complete() {
+                            fs.finish = Some(now);
+                            self.completed += 1;
+                        }
+                        ack
+                    }
+                    // A late duplicate: the released receiver held every
+                    // byte, so it would have acked the whole flow.
+                    Ends::Closed(_) => ack_for(&pkt, fs.spec.size, now),
+                    Ends::Pending => {
+                        return Err(TcnError::audit(format!(
+                            "data for flow {} before it started",
+                            pkt.flow.0
+                        )))
+                    }
+                };
                 self.emit_from_host(host, ack, now)?;
             }
             PacketKind::Ack { cum_ack, ece } => {
                 let f = pkt.flow.0 as u32;
+                // A late ACK for a released flow: its sender is done and
+                // would ignore it.
+                let Ends::Live(i) = self.flows[f as usize].ends else {
+                    return Ok(());
+                };
+                let sender = &mut self.ends[i as usize].sender;
                 let mut out = std::mem::take(&mut self.scratch);
                 out.clear();
-                self.flows[f as usize]
-                    .sender
-                    .on_ack_into(cum_ack, ece, now, &mut out);
+                sender.on_ack_into(cum_ack, ece, now, &mut out);
+                if sender.is_done() {
+                    self.flows[f as usize].ends = Ends::Closed(SenderSummary::of(sender));
+                    self.free_ends.push(i);
+                }
                 let r = self.after_sender(f, &mut out, now);
                 self.scratch = out;
                 r?;

@@ -532,7 +532,7 @@ impl<E> EventQueue<E> {
         self.clock_audit.on_pop(entry.at.as_ps(), entry.seq);
         self.now = entry.at;
         self.processed += 1;
-        if self.probe.is_on() && self.processed % self.tick_interval == 0 {
+        if self.probe.is_on() && self.processed.is_multiple_of(self.tick_interval) {
             self.probe.emit(|| TelemetryEvent::Tick {
                 at_ps: entry.at.as_ps(),
                 events: self.processed,

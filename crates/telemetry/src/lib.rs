@@ -495,7 +495,7 @@ mod tests {
         assert_eq!(p.ctx(), 42);
         assert_eq!(p.with_ctx(3).ctx(), 3);
         assert!(p.with_ctx(3).is_on());
-        assert_eq!(Probe::off().with_ctx(9).is_on(), false);
+        assert!(!Probe::off().with_ctx(9).is_on());
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub mod sender;
 pub use cc::{BbrCc, BbrParams, Cc, CcAlgo, CcCtx, CongestionControl, CubicCc, DctcpCc, EcnStarCc};
 pub use ecn::{EcnPathState, EcnValidator};
 pub use intervals::ByteIntervals;
-pub use receiver::TcpReceiver;
+pub use receiver::{ack_for, TcpReceiver};
 pub use rtt::RttEstimator;
 pub use sender::{SenderOutput, TcpConfig, TcpPreset, TcpSender};

@@ -7,6 +7,28 @@ use tcn_sim::Time;
 
 use crate::intervals::ByteIntervals;
 
+/// Wire size of a pure ACK: a header-only packet.
+const ACK_BYTES: u32 = 40;
+
+/// The ACK a receiver sends for data packet `pkt` when it next expects
+/// byte `cum_ack`: addressed back to the sender, echoing the packet's
+/// own CE mark (the DCTCP receiver rule with m = 1, which also serves
+/// ECN\* since its sender reacts at most once per window anyway), in
+/// the packet's class so it rides the same service queue back.
+pub fn ack_for(pkt: &Packet, cum_ack: u64, now: Time) -> Packet {
+    let mut ack = Packet::ack(
+        pkt.flow,
+        pkt.dst,
+        pkt.src,
+        cum_ack,
+        pkt.ecn.is_ce(),
+        ACK_BYTES,
+    );
+    ack.birth_ts = now;
+    ack.dscp = pkt.dscp;
+    ack
+}
+
 /// A TCP receiver for one flow of `size` bytes.
 #[derive(Debug, Clone)]
 pub struct TcpReceiver {
@@ -18,11 +40,6 @@ pub struct TcpReceiver {
     size: u64,
     received: ByteIntervals,
     completed_at: Option<Time>,
-    /// Wire size of a pure ACK.
-    ack_size: u32,
-    /// Diagnostics: CE-marked data packets seen.
-    ce_seen: u64,
-    data_pkts: u64,
 }
 
 impl TcpReceiver {
@@ -38,53 +55,32 @@ impl TcpReceiver {
             size,
             received: ByteIntervals::new(),
             completed_at: None,
-            ack_size: 40,
-            ce_seen: 0,
-            data_pkts: 0,
         }
     }
 
-    /// Process a data packet, producing the cumulative ACK to send back.
-    /// Every data packet is acknowledged immediately (no delayed ACKs);
-    /// the ACK echoes the packet's own CE mark — the DCTCP receiver rule
-    /// with m = 1, which also serves ECN\* since its sender reacts at
-    /// most once per window anyway.
+    /// Process a data packet, producing the cumulative ACK to send back
+    /// ([`ack_for`]). Every data packet is acknowledged immediately (no
+    /// delayed ACKs).
     ///
     /// # Errors
     /// [`TcnError::AuditViolation`] if the packet is not a data segment
-    /// of this flow — a routing or dispatch bug upstream.
+    /// of this flow from its peer — a routing or dispatch bug upstream.
     pub fn on_data(&mut self, pkt: &Packet, now: Time) -> Result<Packet, TcnError> {
-        if pkt.flow != self.flow {
+        if pkt.flow != self.flow || pkt.src != self.peer || pkt.dst != self.host {
             return Err(TcnError::audit(format!(
-                "foreign packet: receiver of flow {} fed flow {}",
-                self.flow.0, pkt.flow.0
+                "foreign packet: receiver of flow {} ({} -> {}) fed flow {} ({} -> {})",
+                self.flow.0, self.peer, self.host, pkt.flow.0, pkt.src, pkt.dst
             )));
         }
         let (seq, payload) = match pkt.kind {
             PacketKind::Data { seq, payload } => (seq, payload),
             _ => return Err(TcnError::audit("receiver fed a non-data packet")),
         };
-        self.data_pkts += 1;
-        if pkt.ecn.is_ce() {
-            self.ce_seen += 1;
-        }
         self.received.insert(seq, seq + u64::from(payload));
         if self.completed_at.is_none() && self.received.is_complete(self.size) {
             self.completed_at = Some(now);
         }
-        let mut ack = Packet::ack(
-            self.flow,
-            self.host,
-            self.peer,
-            self.received.next_expected(),
-            pkt.ecn.is_ce(),
-            self.ack_size,
-        );
-        ack.birth_ts = now;
-        // ACKs inherit the data packet's class so they ride the same
-        // service queue on the reverse path.
-        ack.dscp = pkt.dscp;
-        Ok(ack)
+        Ok(ack_for(pkt, self.received.next_expected(), now))
     }
 
     /// True once all `size` bytes have arrived.
@@ -100,15 +96,6 @@ impl TcpReceiver {
     /// Bytes received so far (unique).
     pub fn bytes_received(&self) -> u64 {
         self.received.covered()
-    }
-
-    /// Fraction of data packets that carried CE (diagnostics).
-    pub fn ce_fraction(&self) -> f64 {
-        if self.data_pkts == 0 {
-            0.0
-        } else {
-            self.ce_seen as f64 / self.data_pkts as f64
-        }
     }
 
     /// Flow id.
@@ -177,7 +164,6 @@ mod tests {
             PacketKind::Ack { ece, .. } => assert!(!ece),
             _ => panic!(),
         }
-        assert!((r.ce_fraction() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! invariance is `determinism.rs`'s and `cc_differential.rs`'s job.
 //!
 //! `engine_counts_are_pinned` holds the engine's exact counts — arena,
-//! events per dispatch mode, `QueueStats` — at fixed values: they repeat
+//! endpoint slab, events per dispatch mode, `QueueStats` — at fixed values: they repeat
 //! on any host, so a change to what the simulator does moves one.
 
 use tcn_experiments::common::{params, switch_port, Scale, SchedKind};
@@ -86,9 +86,9 @@ fn fig7_slice_is_dispatch_mode_invariant() {
 }
 
 /// Fig. 10 slice: the paper's own fabric, SP/DWRR on every switch port
-/// of a leaf-spine, four hops per packet. A fabric cell costs what its
-/// largest flow costs (DESIGN §7.7), and seed 1's first 60 flows stop
-/// short of its ~0.9 GB flow, so this is the TCN cell at 60 flows.
+/// of a leaf-spine, four hops per packet. Seed 1's first 60 flows stop
+/// short of its ~0.9 GB flow (DESIGN §7.7), so this is the TCN cell at
+/// 60 flows.
 #[test]
 fn fig10_slice_is_dispatch_mode_invariant() {
     let cfg = SweepConfig::fig10(LeafSpineConfig::small());
@@ -207,8 +207,9 @@ fn incast_star() -> NetworkSim {
     sim
 }
 
-/// Run the incast under `mode`: `(events, FCT checksum, drops, QueueStats)`.
-fn incast_counts(mode: DispatchMode) -> (u64, u64, u64, QueueStats) {
+/// Run the incast under `mode`: `(events, FCT checksum, drops,
+/// QueueStats, endpoint-slab high-water mark)`.
+fn incast_counts(mode: DispatchMode) -> (u64, u64, u64, QueueStats, usize) {
     let mut sim = incast_star();
     sim.set_dispatch_mode(mode);
     assert!(sim.run_to_completion(Time::from_secs(60)).expect("run"));
@@ -218,11 +219,13 @@ fn incast_counts(mode: DispatchMode) -> (u64, u64, u64, QueueStats) {
         fct_sum,
         sim.total_drops(),
         sim.queue_stats(),
+        sim.endpoint_high_water(),
     )
 }
 
 /// Exact counts that repeat on any host (DESIGN §7.2, §7.4–7.6): the
-/// packet arena stops allocating after 36 slots, and the batched drain
+/// packet arena stops allocating after 36 slots, the endpoint slab holds
+/// only the incast's flows in flight, and the batched drain
 /// with wake coalescing pops fewer events than the per-event loop on
 /// the same simulation — on the fig6 star's DWRR ports as on the
 /// incast's FIFO ports.
@@ -249,13 +252,17 @@ fn engine_counts_are_pinned() {
         "fig6 star events (per-event, batched)"
     );
 
-    let (per_event, pe_fct, pe_drops, _) = incast_counts(DispatchMode::PerEvent);
-    let (batched, ba_fct, ba_drops, stats) = incast_counts(DispatchMode::Batched);
+    let (per_event, pe_fct, pe_drops, _, pe_ends) = incast_counts(DispatchMode::PerEvent);
+    let (batched, ba_fct, ba_drops, stats, ends) = incast_counts(DispatchMode::Batched);
     assert_eq!(
-        (pe_fct, pe_drops),
-        (ba_fct, ba_drops),
-        "incast FCTs and drops differ by dispatch mode"
+        (pe_fct, pe_drops, pe_ends),
+        (ba_fct, ba_drops, ends),
+        "incast FCTs, drops and endpoint high water differ by dispatch mode"
     );
+    // 160 flows in five waves of 32. RTO-delayed tails hold some waves
+    // open into the next, but early flows are released and their slots
+    // reused: endpoints built in `add_flow`, or never released, read 160.
+    assert_eq!(ends, 133, "incast endpoint-slab high water");
     assert_eq!(
         (per_event, batched),
         (68_988, 47_575),

@@ -292,22 +292,28 @@ pub fn allow_on_line(raw_line: &str, rule: &str) -> Option<bool> {
 // touching the filesystem)
 // ---------------------------------------------------------------------------
 
-/// Report `needle` occurrences in production lines of `view`, honouring
-/// test spans and `lint:allow` escapes on the raw source.
+/// Report `needle` occurrences in the code view of `raw`, skipping test
+/// spans when `exempt_tests` and honouring `lint:allow` escapes on the
+/// raw source.
 fn scan_needles(
     path: &Path,
     raw: &str,
-    view: &str,
-    spans: &[(usize, usize)],
+    exempt_tests: bool,
     rule: &'static str,
     needles: &[&str],
     message: impl Fn(&str) -> String,
-    out: &mut Vec<Diagnostic>,
-) {
+) -> Vec<Diagnostic> {
+    let view = code_view(raw);
+    let spans = if exempt_tests {
+        test_spans(&view)
+    } else {
+        Vec::new()
+    };
+    let mut out = Vec::new();
     let raw_lines: Vec<&str> = raw.lines().collect();
     for (idx, line) in view.lines().enumerate() {
         let lineno = idx + 1;
-        if in_spans(lineno, spans) {
+        if in_spans(lineno, &spans) {
             continue;
         }
         for needle in needles {
@@ -334,18 +340,15 @@ fn scan_needles(
             break; // one diagnostic per line is enough
         }
     }
+    out
 }
 
 /// `no-unwrap`: no `.unwrap()` / `.expect(` in library production code.
 pub fn check_no_unwrap(path: &Path, raw: &str) -> Vec<Diagnostic> {
-    let view = code_view(raw);
-    let spans = test_spans(&view);
-    let mut out = Vec::new();
     scan_needles(
         path,
         raw,
-        &view,
-        &spans,
+        true,
         "no-unwrap",
         &[".unwrap()", ".expect("],
         |n| {
@@ -354,9 +357,7 @@ pub fn check_no_unwrap(path: &Path, raw: &str) -> Vec<Diagnostic> {
                  let-else/match, or append `lint:allow(no-unwrap): <why>`"
             )
         },
-        &mut out,
-    );
-    out
+    )
 }
 
 /// `no-panic-in-lib`: no `panic!` in library production code — a panic
@@ -367,45 +368,28 @@ pub fn check_no_unwrap(path: &Path, raw: &str) -> Vec<Diagnostic> {
 /// unwraps the `no-unwrap` rule does not already police) the rule also
 /// catches `.unwrap()` / `.expect(`.
 pub fn check_no_panic(path: &Path, raw: &str, include_unwrap: bool) -> Vec<Diagnostic> {
-    let view = code_view(raw);
-    let spans = test_spans(&view);
-    let mut out = Vec::new();
     let needles: &[&str] = if include_unwrap {
         &["panic!", ".unwrap()", ".expect("]
     } else {
         &["panic!"]
     };
-    scan_needles(
-        path,
-        raw,
-        &view,
-        &spans,
-        "no-panic-in-lib",
-        needles,
-        |n| {
-            format!(
-                "`{n}…` in library code can abort a whole sweep: return a \
-                 TcnError (the cell runner quarantines it), or append \
-                 `lint:allow(no-panic-in-lib): <why>`"
-            )
-        },
-        &mut out,
-    );
-    out
+    scan_needles(path, raw, true, "no-panic-in-lib", needles, |n| {
+        format!(
+            "`{n}…` in library code can abort a whole sweep: return a \
+             TcnError (the cell runner quarantines it), or append \
+             `lint:allow(no-panic-in-lib): <why>`"
+        )
+    })
 }
 
 /// `no-float-time`: raw tick counts must not be cast to floats outside
 /// the `Time` module — use `as_secs_f64()` / `as_us_f64()` which carry
 /// their unit in the name.
 pub fn check_no_float_time(path: &Path, raw: &str) -> Vec<Diagnostic> {
-    let view = code_view(raw);
-    let spans = test_spans(&view);
-    let mut out = Vec::new();
     scan_needles(
         path,
         raw,
-        &view,
-        &spans,
+        true,
         "no-float-time",
         &[
             ".as_ps() as f64",
@@ -423,22 +407,17 @@ pub fn check_no_float_time(path: &Path, raw: &str) -> Vec<Diagnostic> {
                  as_us_f64() (only sim/src/time.rs may do raw conversions)"
             )
         },
-        &mut out,
-    );
-    out
+    )
 }
 
 /// `no-wallclock`: host-clock reads outside [`WALLCLOCK_SANCTUARIES`].
 /// Applies to test code too — tests must be as deterministic as the
 /// simulator they check.
 pub fn check_no_wallclock(path: &Path, raw: &str) -> Vec<Diagnostic> {
-    let view = code_view(raw);
-    let mut out = Vec::new();
     scan_needles(
         path,
         raw,
-        &view,
-        &[], // no test-span exemption
+        false, // no test-span exemption
         "no-wallclock",
         &["std::time::Instant", "Instant::now", "SystemTime"],
         |n| {
@@ -447,9 +426,7 @@ pub fn check_no_wallclock(path: &Path, raw: &str) -> Vec<Diagnostic> {
                  Time only (wall-clock timing belongs in crates/bench or xtask)"
             )
         },
-        &mut out,
-    );
-    out
+    )
 }
 
 /// `no-println-in-lib`: no `println!` / `eprintln!` in library
@@ -459,14 +436,10 @@ pub fn check_no_wallclock(path: &Path, raw: &str) -> Vec<Diagnostic> {
 /// a JSONL trace, or a summary report. Tests may print (cargo captures
 /// it); binaries are exempt by scope.
 pub fn check_no_println(path: &Path, raw: &str) -> Vec<Diagnostic> {
-    let view = code_view(raw);
-    let spans = test_spans(&view);
-    let mut out = Vec::new();
     scan_needles(
         path,
         raw,
-        &view,
-        &spans,
+        true,
         "no-println-in-lib",
         &["println!", "eprintln!"],
         |n| {
@@ -476,9 +449,7 @@ pub fn check_no_println(path: &Path, raw: &str) -> Vec<Diagnostic> {
                  `lint:allow(no-println-in-lib): <why>`"
             )
         },
-        &mut out,
-    );
-    out
+    )
 }
 
 /// `no-unsafe`: the `unsafe` keyword anywhere (even in tests — a

@@ -41,13 +41,16 @@ use std::process::{Command, ExitCode};
 use xtask::engine::{filter_rules, Severity};
 use xtask::{jsonck, lint, rules};
 
+/// A named `cargo xtask ci` stage.
+type Stage = (&'static str, fn(&Path) -> ExitCode);
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let repo = repo_root();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint_cli(&repo, &args[1..]),
         Some("ci") => {
-            let stages: [(&str, fn(&Path) -> ExitCode); 5] = [
+            let stages: [Stage; 5] = [
                 ("build", |r| run_cargo(r, &["build", "--release"])),
                 ("test", |r| run_cargo(r, &["test", "-q"])),
                 ("test (audit)", |r| {

@@ -12,7 +12,7 @@ use crate::rules::{aqm_scope, diag_at, every_file, seq_at, transport_scope, Pat}
 /// Nearest-first doc comments directly above `tokens[idx]`, skipping
 /// attribute groups (`#[…]`, `#![…]`), visibility modifiers
 /// (`pub`, `pub(crate)`), and plain (non-doc) comments on the walk.
-fn docs_above<'a>(tokens: &'a [Token], idx: usize) -> Vec<&'a Token> {
+fn docs_above(tokens: &[Token], idx: usize) -> Vec<&Token> {
     let mut out = Vec::new();
     let mut k = idx;
     while k > 0 {
